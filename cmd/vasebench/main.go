@@ -20,6 +20,7 @@ import (
 	"vase/internal/diag"
 	"vase/internal/exitcode"
 	"vase/internal/mapper"
+	"vase/internal/mna"
 	"vase/internal/pipeline"
 	"vase/internal/solveropt"
 	"vase/internal/source"
@@ -37,8 +38,8 @@ func main() {
 	maxSteps := flag.Int("max-steps", 0, "per-application search node budget for Table 1 (0 = unlimited)")
 	cacheDir := flag.String("cache-dir", "", "persist compile and synthesis artifacts in this directory (content-addressed, shareable across runs)")
 	cacheStats := flag.Bool("cache-stats", false, "print the per-stage cache hit/miss table to stderr on exit")
-	solver := solveropt.Exact
-	flag.Var(solveropt.Flag{Tier: &solver}, "solver", solveropt.Usage+" (affects Figure 8)")
+	solver := mna.SolverAuto
+	flag.Var(solveropt.Flag{Mode: &solver}, "solver", solveropt.Usage+" (affects Figure 8)")
 	flag.Parse()
 
 	pipe, err := pipeline.New(pipeline.Options{CacheDir: *cacheDir})
@@ -108,7 +109,7 @@ func main() {
 	}
 	if *fig8 || all {
 		section("Figure 8")
-		_, text, err := corpus.Figure8With(corpus.SpiceConfig{Solver: solver.Mode()})
+		_, text, err := corpus.Figure8With(corpus.SpiceConfig{Solver: solver})
 		if err != nil {
 			fail(err)
 		}

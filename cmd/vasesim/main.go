@@ -66,8 +66,8 @@ func main() {
 	cacheStats := flag.Bool("cache-stats", false, "print the per-stage cache hit/miss table to stderr on exit")
 	solverStats := flag.Bool("stats", false, "print linear-solver statistics to stderr on exit (circuit level only)")
 	workers := flag.Int("workers", 0, "parallel fan-out of circuit-level AC sweeps (0 = all CPUs, 1 = sequential; results are identical)")
-	solver := solveropt.Exact
-	flag.Var(solveropt.Flag{Tier: &solver}, "solver", solveropt.Usage)
+	solver := vase.SolverExact
+	flag.Var(solveropt.Flag{Mode: &solver}, "solver", solveropt.Usage)
 	reltol := flag.Float64("reltol", 0, "fast-tier relative error budget vs the reference solver (0 = default)")
 	abstol := flag.Float64("abstol", 0, "fast-tier absolute error budget in volts (0 = default)")
 	checkAsserts := flag.Bool("assert", false, "evaluate the source's '-- assert:' pragmas against the trace; FAIL exits nonzero (truncated traces resolve to UNKNOWN)")
@@ -183,7 +183,7 @@ func main() {
 			fail(err)
 		}
 		arch.SimWorkers = *workers
-		arch.SimSolver = solver.Mode()
+		arch.SimSolver = solver
 		arch.SimBudget = vase.ErrorBudget{RelTol: *reltol, AbsTol: *abstol}
 		res, err := arch.SpiceContext(ctx, inputs, *tstop, *tstep)
 		if err != nil {
@@ -195,12 +195,12 @@ func main() {
 		}
 		noteTruncated(res.Tran.Truncated)
 		outcomes = assertlang.CheckTran(monitored, res.Elab, res.Tran)
-		if solver == solveropt.Fast && (assertlang.Failed(outcomes) || countUnknown(outcomes) > 0) {
+		if solver == vase.SolverFast && (assertlang.Failed(outcomes) || countUnknown(outcomes) > 0) {
 			// A FAIL or UNKNOWN within budget noise of a threshold must not
 			// stand on fast-tier evidence: re-derive the verdicts of record
 			// on the exact tier (see DESIGN.md §16).
 			fmt.Fprintln(os.Stderr, "note: fast-tier assert verdicts not clean — re-checking on the exact tier")
-			arch.SimSolver = solveropt.Exact.Mode()
+			arch.SimSolver = vase.SolverExact
 			res, err = arch.SpiceContext(ctx, inputs, *tstop, *tstep)
 			if err != nil {
 				fail(err)

@@ -57,7 +57,7 @@ func Pairs() []*Pair {
 		},
 		{
 			Name:      "solver",
-			Doc:       "reference vs dense vs CSR linear solvers agree bitwise on DC/transient/AC",
+			Doc:       "reference vs exact solver tiers agree bitwise on DC/transient/AC",
 			MaxQuants: 10,
 			Run:       pairSolver,
 		},
@@ -232,6 +232,8 @@ type solverObservation struct {
 	dcErr string
 	tr    *mna.Tran
 	trErr string
+	ac    *mna.ACResult
+	acErr string
 	nodes int
 }
 
@@ -243,12 +245,17 @@ func errText(err error) string {
 }
 
 // specObserver elaborates a synthesized spec and returns a closure that runs
-// the circuit-level DC + short-transient observation under a solver mode —
-// the shared harness of the solver and fast campaign pairs.
+// the circuit-level DC + short-transient + short AC sweep observation under
+// a solver mode — the shared harness of the solver and fast campaign pairs.
+// The AC stimulus is the spec's first input in name order.
 func specObserver(sp *Spec, res *mapper.Result) func(mode mna.SolverMode, workers int) (*solverObservation, error) {
 	waves := make(map[string]mna.Waveform, len(sp.Inputs))
-	for name, w := range sp.Inputs { //vase:unordered (map-to-map conversion)
+	first := ""
+	for name, w := range sp.Inputs { //vase:unordered (map-to-map conversion and minimum key)
 		waves[name] = mna.Waveform(w.Source())
+		if first == "" || name < first {
+			first = name
+		}
 	}
 	return func(mode mna.SolverMode, workers int) (*solverObservation, error) {
 		el, err := mna.Elaborate(res.Netlist, waves)
@@ -266,6 +273,10 @@ func specObserver(sp *Spec, res *mapper.Result) func(mode mna.SolverMode, worker
 		// eliminator.
 		tr, err := c.Transient(100*sp.TStep, sp.TStep/5)
 		o.tr, o.trErr = tr, errText(err)
+		if first != "" {
+			ac, err := c.AC("v_"+first, mna.LogSweep(10, 1e6, 12))
+			o.ac, o.acErr = ac, errText(err)
+		}
 		return o, nil
 	}
 }
@@ -284,21 +295,14 @@ func pairSolver(sp *Spec) error {
 	if err != nil {
 		return err
 	}
-	for _, alt := range []struct {
-		label   string
-		mode    mna.SolverMode
-		workers int
-	}{
-		{"dense", mna.SolverDense, 1},
-		{"sparse", mna.SolverSparse, 1},
-		{"auto/2-workers", mna.SolverAuto, 2},
-	} {
-		got, err := observe(alt.mode, alt.workers)
+	// Circuit.Workers only fans out the AC sweep, which must not change it.
+	for _, workers := range []int{1, 2} {
+		got, err := observe(mna.SolverAuto, workers)
 		if err != nil {
-			return fmt.Errorf("%s: %w", alt.label, err)
+			return fmt.Errorf("exact/%d-workers: %w", workers, err)
 		}
 		if err := compareObservations(ref, got); err != nil {
-			return fmt.Errorf("%s vs reference: %w", alt.label, err)
+			return fmt.Errorf("exact/%d-workers vs reference: %w", workers, err)
 		}
 	}
 	return nil
@@ -377,6 +381,9 @@ func compareObservations(ref, got *solverObservation) error {
 				math.Float64bits(got.dc[i]), math.Float64bits(ref.dc[i]))
 		}
 	}
+	if err := compareAC(ref, got); err != nil {
+		return err
+	}
 	if ref.trErr != got.trErr {
 		return fmt.Errorf("transient error %q, reference %q", got.trErr, ref.trErr)
 	}
@@ -396,6 +403,28 @@ func compareObservations(ref, got *solverObservation) error {
 			if !bitsEq(rw[i], gw[i]) {
 				return fmt.Errorf("node %d sample %d (t=%g): %x, reference %x",
 					n, i, ref.tr.Time[i], math.Float64bits(gw[i]), math.Float64bits(rw[i]))
+			}
+		}
+	}
+	return nil
+}
+
+// compareAC demands bitwise-equal AC sweeps (or identical errors). Both
+// observations stimulate the same source, so equal errors imply both or
+// neither swept, and an uncancelled sweep solves every point.
+func compareAC(ref, got *solverObservation) error {
+	if ref.acErr != got.acErr {
+		return fmt.Errorf("AC error %q, reference %q", got.acErr, ref.acErr)
+	}
+	if ref.ac == nil {
+		return nil
+	}
+	for n := 1; n <= ref.nodes; n++ {
+		rw, gw := ref.ac.V[mna.Node(n)], got.ac.V[mna.Node(n)]
+		for i := range rw {
+			if !bitsEq(real(rw[i]), real(gw[i])) || !bitsEq(imag(rw[i]), imag(gw[i])) {
+				return fmt.Errorf("AC node %d point %d (%g Hz): %v, reference %v",
+					n, i, ref.ac.Freqs[i], gw[i], rw[i])
 			}
 		}
 	}

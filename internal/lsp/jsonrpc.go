@@ -23,12 +23,12 @@ import (
 // message is a JSON-RPC 2.0 envelope covering requests, responses and
 // notifications (ID is absent on notifications).
 type message struct {
-	JSONRPC string          `json:"jsonrpc"`
+	JSONRPC string           `json:"jsonrpc"`
 	ID      *json.RawMessage `json:"id,omitempty"`
-	Method  string          `json:"method,omitempty"`
-	Params  json.RawMessage `json:"params,omitempty"`
-	Result  any             `json:"result,omitempty"`
-	Error   *respError      `json:"error,omitempty"`
+	Method  string           `json:"method,omitempty"`
+	Params  json.RawMessage  `json:"params,omitempty"`
+	Result  any              `json:"result,omitempty"`
+	Error   *respError       `json:"error,omitempty"`
 }
 
 type respError struct {

@@ -67,8 +67,8 @@ type didOpenParams struct {
 }
 
 type didChangeParams struct {
-	TextDocument   textDocumentIdentifier   `json:"textDocument"`
-	ContentChanges []contentChangeEvent     `json:"contentChanges"`
+	TextDocument   textDocumentIdentifier `json:"textDocument"`
+	ContentChanges []contentChangeEvent   `json:"contentChanges"`
 }
 
 type contentChangeEvent struct {

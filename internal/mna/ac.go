@@ -170,7 +170,7 @@ func (c *Circuit) ACContext(ctx context.Context, acSource string, freqs []float6
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := newACWorkspace(s, tmpl)
+			ws := newACWorkspace(s)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(freqs) || ctx.Err() != nil {

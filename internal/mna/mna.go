@@ -14,9 +14,9 @@
 // records once per circuit which matrix slots every device touches, the
 // elimination structure (including fill) is analyzed symbolically once, and
 // every subsequent Newton iteration restamps and refactors in place inside
-// preallocated flat storage — dense below a crossover dimension, CSR above
-// it — with zero steady-state allocation. All solver modes produce
-// bit-identical solutions (see factor.go for the argument).
+// preallocated CSR storage with zero steady-state allocation. The exact
+// tier's solutions are bit-identical to the reference eliminator's (see
+// factor.go for the argument).
 package mna
 
 import (
@@ -90,21 +90,17 @@ const (
 	Trapezoidal
 )
 
-// SolverMode selects the linear-solver implementation backing DC, transient
-// and AC analyses. All modes except SolverFast produce bit-identical
-// solutions and differ only in speed and allocation behavior; SolverFast
-// trades byte-identity for speed under a contractual ErrorBudget (see
-// compare.go).
+// SolverMode selects the linear-solver tier backing DC, transient and AC
+// analyses. SolverAuto and SolverReference produce bit-identical solutions
+// and differ only in speed and allocation behavior; SolverFast trades
+// byte-identity for speed under a contractual ErrorBudget (see compare.go).
 type SolverMode int
 
 const (
-	// SolverAuto picks the dense factorization below the sparse crossover
-	// dimension and the CSR factorization above it (the default).
+	// SolverAuto is the exact tier (the default): the stamp plan's
+	// in-place CSR LU with elimination replay, bit-identical to
+	// SolverReference on every circuit size.
 	SolverAuto SolverMode = iota
-	// SolverDense forces the flat row-major in-place LU.
-	SolverDense
-	// SolverSparse forces the CSR in-place LU.
-	SolverSparse
 	// SolverReference selects the original allocate-per-solve dense
 	// eliminator, kept as the oracle for equivalence tests.
 	SolverReference
@@ -119,12 +115,17 @@ const (
 	SolverFast
 )
 
-// defaultSparseCrossover is the reduced-system dimension at which
-// SolverAuto switches from dense to CSR. Elaborated op-amp macromodel
-// circuits are mostly structural zeros well before this size, and with the
-// elimination replay cache the CSR path overtakes the dense one at around a
-// dozen unknowns (measured on the corpus receiver/missile circuits).
-const defaultSparseCrossover = 12
+// String returns the tier's tool-level name: reference, exact or fast.
+func (m SolverMode) String() string {
+	switch m {
+	case SolverReference:
+		return "reference"
+	case SolverFast:
+		return "fast"
+	default:
+		return "exact"
+	}
+}
 
 // SolverStats counts the work done by the linear-algebra core of a circuit
 // across all DC, transient and AC analyses run on it.
@@ -145,19 +146,16 @@ type SolverStats struct {
 	Fallbacks int64
 	// PeakDim is the largest reduced-system dimension solved.
 	PeakDim int
-	// Sparse reports whether the current stamp plan uses the CSR
-	// factorization.
-	Sparse bool
 	// Nonzeros is the number of stamped matrix slots; Fill is the number
-	// of extra slots added by the symbolic elimination analysis.
+	// of extra slots added by the adaptive elimination analysis.
 	Nonzeros, Fill int
 }
 
 // String renders the stats as a one-line summary, the format behind the
 // vasesim -stats flag.
 func (s SolverStats) String() string {
-	plan := "dense"
-	if s.Sparse {
+	plan := "dense" // the reference eliminator builds no plan
+	if s.Nonzeros > 0 {
 		plan = fmt.Sprintf("sparse (%d stamped + %d fill)", s.Nonzeros, s.Fill)
 	}
 	out := fmt.Sprintf("dim %d %s, %d newton iterations, %d factorizations",
@@ -187,11 +185,8 @@ type Circuit struct {
 	// far with Tran.Truncated set, not an error.
 	MaxTranSteps int
 
-	// Solver selects the linear-solver implementation (see SolverMode).
+	// Solver selects the linear-solver tier (see SolverMode).
 	Solver SolverMode
-	// SparseCrossover overrides the dimension at which SolverAuto switches
-	// from the dense to the CSR factorization (0 = the default of 12).
-	SparseCrossover int
 	// Workers bounds the AC-sweep fan-out (0 = all CPUs, 1 = sequential).
 	// Every worker count produces the identical sweep.
 	Workers int
@@ -536,6 +531,10 @@ func (c *Circuit) DCContext(ctx context.Context) (Solution, error) {
 	return c.newtonFast(ctx, s, dst, s.zero, s.zero, 0, -1)
 }
 
+// maxTranPrealloc caps the per-node transient sample preallocation, well
+// above the Figure 8 window (3001 samples).
+const maxTranPrealloc = 1 << 14
+
 // Tran holds a transient result.
 type Tran struct {
 	Time []float64
@@ -569,6 +568,12 @@ func (c *Circuit) Transient(tstop, h float64) (*Tran, error) {
 func (c *Circuit) TransientContext(ctx context.Context, tstop, h float64) (*Tran, error) {
 	if tstop <= 0 || h <= 0 {
 		return nil, fmt.Errorf("mna: tstop and h must be positive")
+	}
+	// The step count must be a representable int; the comparison also
+	// rejects NaN and +Inf (tstop/h overflowing float64).
+	n := math.Ceil(tstop / h)
+	if !(n < math.MaxInt) {
+		return nil, fmt.Errorf("mna: tstop/h = %g steps is not a representable step count", n)
 	}
 
 	// newton dispatches to the selected solver implementation; dst is the
@@ -615,7 +620,7 @@ func (c *Circuit) TransientContext(ctx context.Context, tstop, h float64) (*Tran
 	}
 	x, xNext = x0, x
 
-	steps := int(math.Ceil(tstop / h))
+	steps := int(n)
 	tr := &Tran{V: map[Node][]float64{}, c: c}
 	if c.MaxTranSteps > 0 && steps > c.MaxTranSteps {
 		steps = c.MaxTranSteps
@@ -623,11 +628,15 @@ func (c *Circuit) TransientContext(ctx context.Context, tstop, h float64) (*Tran
 	}
 
 	// Sample storage is preallocated per node and published into the map
-	// once, so the per-step recording is append-free and map-free.
-	tr.Time = make([]float64, 0, steps+1)
+	// once, so the per-step recording is map-free and, up to
+	// maxTranPrealloc samples, append-free. Past the cap the buffers grow
+	// with the steps actually taken: a window that a deadline cuts short
+	// never reserves memory for samples it does not reach.
+	prealloc := min(steps+1, maxTranPrealloc)
+	tr.Time = make([]float64, 0, prealloc)
 	cols := make([][]float64, c.nodes+1)
 	for i := 1; i <= c.nodes; i++ {
-		cols[i] = make([]float64, 0, steps+1)
+		cols[i] = make([]float64, 0, prealloc)
 	}
 	record := func(t float64, s Solution) {
 		tr.Time = append(tr.Time, t)

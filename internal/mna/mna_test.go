@@ -2,6 +2,7 @@ package mna
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -218,6 +219,10 @@ func TestTransientArgumentValidation(t *testing.T) {
 	}
 	if _, err := c.Transient(1e-3, 0); err == nil {
 		t.Error("zero step should fail")
+	}
+	// 1e39 steps overflow int: once a makeslice panic in the preallocation.
+	if _, err := c.Transient(1e30, 1e-9); err == nil || !strings.Contains(err.Error(), "step count") {
+		t.Errorf("tstop/h = 1e39: err = %v, want a step-count error", err)
 	}
 }
 

@@ -99,27 +99,10 @@ type fastState struct {
 // system with their plan slots, in row-major order.
 func (s *solver) stampedEntries(yield func(r, col, slot int)) {
 	for r := 0; r < s.dim; r++ {
-		base := r * s.words
-		for wi := 0; wi < s.words; wi++ {
-			wd := s.stampedPat[base+wi]
-			for wd != 0 {
-				b := bits.TrailingZeros64(wd)
-				wd &^= 1 << b
-				col := wi*64 + b
-				slot := r*s.dim + col
-				if s.sparse {
-					lo, hi := s.rowPtr[r], s.rowPtr[r+1]
-					for lo < hi {
-						mid := (lo + hi) / 2
-						if s.colIdx[mid] < col {
-							lo = mid + 1
-						} else {
-							hi = mid
-						}
-					}
-					slot = lo
-				}
-				yield(r, col, slot)
+		for q := s.rowPtr[r]; q < s.rowPtr[r+1]; q++ {
+			col := s.colIdx[q]
+			if s.stampedPat[r*s.words+col/64]&(1<<(col%64)) != 0 {
+				yield(r, col, q)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package mna
 import (
 	"errors"
 	"math/bits"
+	"slices"
 )
 
 // This file builds the stamp plan: a one-time structural analysis of the
@@ -11,8 +12,9 @@ import (
 //
 // The plan records, per device, the flat storage slots its companion model
 // writes (in the exact order the reference stamper writes them, so aliased
-// slots accumulate identically). For the CSR representation the pattern is
-// adaptive: it starts as exactly the stamped entries and grows on demand.
+// slots accumulate identically). The matrix is stored as CSR over an
+// adaptive pattern: it starts as exactly the stamped entries and grows on
+// demand.
 // Because partial pivoting picks pivots from runtime values, the fill
 // pattern of an elimination cannot be known in advance without a ruinous
 // over-approximation (closing the stamped pattern under every possible
@@ -23,33 +25,31 @@ import (
 // so the pattern converges after the first few solves and the steady state
 // runs with zero misses and zero allocations.
 
-// errPatternGrown is returned by the sparse factorization when an
-// elimination update needed a slot outside the current pattern: the pattern
-// has been grown and the caller must restamp and retry.
+// errPatternGrown is returned by the factorization when an elimination
+// update needed a slot outside the current pattern: the pattern has been
+// grown and the caller must restamp and retry.
 var errPatternGrown = errors.New("mna: sparse pattern grown, restamp and retry")
 
-// solver is the reusable linear-system workspace of a circuit: flat matrix
-// storage (dense row-major or CSR), the elimination scratch, and the Newton
-// iterate buffers. It is rebuilt only when the circuit's structure changes.
+// solver is the reusable linear-system workspace of a circuit: CSR matrix
+// storage, the elimination scratch, and the Newton iterate buffers. It is
+// rebuilt only when the circuit's structure changes.
 type solver struct {
-	dim    int  // reduced system dimension (nodes + branches)
-	ndev   int  // device count at plan time (structure-change detection)
-	sparse bool // CSR vs. flat dense representation
+	dim  int // reduced system dimension (nodes + branches)
+	ndev int // device count at plan time (structure-change detection)
 
-	// pat holds the per-row column bitsets of the current CSR pattern
-	// (sparse only); words is the row stride in uint64s. stampedPat is the
-	// initial (stamped-entry) pattern, kept so relayouts can tell stamped
-	// slots from adaptively discovered fill.
+	// pat holds the per-row column bitsets of the current CSR pattern;
+	// words is the row stride in uint64s. stampedPat is the initial
+	// (stamped-entry) pattern, kept so relayouts can tell stamped slots
+	// from adaptively discovered fill.
 	pat        []uint64
 	stampedPat []uint64
 	words      int
 
-	// vals is the matrix storage: dense dim*dim row-major (reduced,
-	// 0-based) or the CSR value array; one extra slot at the end absorbs
+	// vals is the CSR value array; one extra slot at the end absorbs
 	// writes aimed at the folded-away ground row/column.
 	vals []float64
-	// rowPtr/colIdx describe the CSR pattern (sparse only). Column
-	// indices are ascending within each row.
+	// rowPtr/colIdx describe the CSR pattern. Column indices are ascending
+	// within each row.
 	rowPtr, colIdx []int
 	trash          int // index of the ground write-off slot in vals
 
@@ -58,15 +58,15 @@ type solver struct {
 	rhsv []float64
 
 	perm  []int // logical→physical row permutation (pivoting)
-	pos   []int // physical→logical inverse of perm (sparse)
-	diagQ []int // per-logical-row diagonal slot, set at pivot time (sparse)
+	pos   []int // physical→logical inverse of perm
+	diagQ []int // per-logical-row diagonal slot, set at pivot time
 	scale []float64
 
-	// Column-compressed view of the CSR pattern (sparse only): for column
-	// col, entries colPtr[col]..colPtr[col+1] give the physical rows with a
-	// pattern slot at col (colRow) and the slot's index in vals (colSlot).
-	// The factorization reads columns directly instead of advancing
-	// per-row cursors.
+	// Column-compressed view of the CSR pattern: for column col, entries
+	// colPtr[col]..colPtr[col+1] give the physical rows with a pattern slot
+	// at col (colRow) and the slot's index in vals (colSlot). The
+	// factorization reads columns directly instead of advancing per-row
+	// cursors.
 	colPtr  []int
 	colRow  []int32
 	colSlot []int32
@@ -140,13 +140,6 @@ func (s *solver) clear() {
 	}
 }
 
-func (s *solver) factorSolve(x Solution) error {
-	if s.sparse {
-		return s.sparseFactorSolve(x)
-	}
-	return s.denseFactorSolve(x)
-}
-
 // grow absorbs the pivot row's pattern tail (columns ≥ col) into row rr
 // after a fill miss; the caller then relayouts, restamps and retries.
 func (s *solver) grow(rr, pr, col int) {
@@ -197,22 +190,15 @@ func (c *Circuit) matrixEntries(yield func(r, col int)) {
 }
 
 // ensureSolver returns the circuit's stamp plan, rebuilding it if the
-// structure (dimension, device count, or representation choice) changed
-// since the last analysis.
+// structure (dimension or device count) changed since the last analysis.
 func (c *Circuit) ensureSolver() (*solver, error) {
 	nb := c.assignBranches()
 	dim := c.nodes + nb
-	cross := c.SparseCrossover
-	if cross <= 0 {
-		cross = defaultSparseCrossover
-	}
-	sparse := c.Solver == SolverSparse ||
-		((c.Solver == SolverAuto || c.Solver == SolverFast) && dim >= cross)
-	if s := c.sol; s != nil && s.dim == dim && s.ndev == len(c.devices) && s.sparse == sparse {
+	if s := c.sol; s != nil && s.dim == dim && s.ndev == len(c.devices) {
 		return s, nil
 	}
 
-	s := &solver{dim: dim, ndev: len(c.devices), sparse: sparse}
+	s := &solver{dim: dim, ndev: len(c.devices)}
 	s.words = (dim + 63) / 64
 	if s.words == 0 {
 		s.words = 1
@@ -236,10 +222,8 @@ func (c *Circuit) ensureSolver() (*solver, error) {
 	s.scale = make([]float64, dim)
 	s.next = make(Solution, dim+1)
 	s.zero = make(Solution, dim+1)
-	if sparse {
-		s.pos = make([]int, dim)
-		s.diagQ = make([]int, dim)
-	}
+	s.pos = make([]int, dim)
+	s.diagQ = make([]int, dim)
 	for _, d := range c.devices {
 		if d.kind == dOpAmp {
 			s.ops = append(s.ops, d)
@@ -262,81 +246,75 @@ func (c *Circuit) ensureSolver() (*solver, error) {
 func (c *Circuit) layout(s *solver) {
 	dim := s.dim
 	s.fast = nil // plan slots are renumbered below; the fast scatter map is stale
-	if s.sparse {
-		nnz := 0
-		for _, wd := range s.pat {
-			nnz += bits.OnesCount64(wd)
-		}
-		s.rowPtr = make([]int, dim+1)
-		s.colIdx = make([]int, 0, nnz)
-		stampedIdx := make([]int32, 0, s.stamped)
-		stampedCol := make([]int32, 0, s.stamped)
-		for r := 0; r < dim; r++ {
-			s.rowPtr[r] = len(s.colIdx)
-			base := r * s.words
-			for i := 0; i < s.words; i++ {
-				wd := s.pat[base+i]
-				for wd != 0 {
-					b := bits.TrailingZeros64(wd)
-					if s.stampedPat[base+i]&(1<<b) != 0 {
-						stampedIdx = append(stampedIdx, int32(len(s.colIdx)))
-						stampedCol = append(stampedCol, int32(i*64+b))
-					}
-					s.colIdx = append(s.colIdx, i*64+b)
-					wd &^= 1 << b
+	nnz := 0
+	for _, wd := range s.pat {
+		nnz += bits.OnesCount64(wd)
+	}
+	s.rowPtr = make([]int, dim+1)
+	s.colIdx = make([]int, 0, nnz)
+	stampedIdx := make([]int32, 0, s.stamped)
+	stampedCol := make([]int32, 0, s.stamped)
+	for r := 0; r < dim; r++ {
+		s.rowPtr[r] = len(s.colIdx)
+		base := r * s.words
+		for i := 0; i < s.words; i++ {
+			wd := s.pat[base+i]
+			for wd != 0 {
+				b := bits.TrailingZeros64(wd)
+				if s.stampedPat[base+i]&(1<<b) != 0 {
+					stampedIdx = append(stampedIdx, int32(len(s.colIdx)))
+					stampedCol = append(stampedCol, int32(i*64+b))
 				}
+				s.colIdx = append(s.colIdx, i*64+b)
+				wd &^= 1 << b
 			}
 		}
-		s.rowPtr[dim] = len(s.colIdx)
+	}
+	s.rowPtr[dim] = len(s.colIdx)
 
-		// Stamped slots grouped by column, for the pivot-scale pass.
-		s.scalePtr = make([]int32, dim+1)
-		for _, col := range stampedCol {
-			s.scalePtr[col+1]++
-		}
-		for i := 0; i < dim; i++ {
-			s.scalePtr[i+1] += s.scalePtr[i]
-		}
-		s.scaleSlot = make([]int32, len(stampedIdx))
-		fillAt := make([]int32, dim)
-		copy(fillAt, s.scalePtr[:dim])
-		for k, col := range stampedCol {
-			s.scaleSlot[fillAt[col]] = stampedIdx[k]
-			fillAt[col]++
-		}
-		s.trash = nnz
-		s.vals = make([]float64, nnz+1)
-		s.fill = nnz - s.stamped
-		// Slot indices changed: the elimination replay cache is stale.
-		s.sched = s.sched[:0]
-		s.schedN = 0
+	// Stamped slots grouped by column, for the pivot-scale pass.
+	s.scalePtr = make([]int32, dim+1)
+	for _, col := range stampedCol {
+		s.scalePtr[col+1]++
+	}
+	for i := 0; i < dim; i++ {
+		s.scalePtr[i+1] += s.scalePtr[i]
+	}
+	s.scaleSlot = make([]int32, len(stampedIdx))
+	fillAt := make([]int32, dim)
+	copy(fillAt, s.scalePtr[:dim])
+	for k, col := range stampedCol {
+		s.scaleSlot[fillAt[col]] = stampedIdx[k]
+		fillAt[col]++
+	}
+	s.trash = nnz
+	s.vals = make([]float64, nnz+1)
+	s.fill = nnz - s.stamped
+	// Slot indices changed: the elimination replay cache is stale.
+	s.sched = s.sched[:0]
+	s.schedN = 0
 
-		// Column-compressed twin of the row pattern, for direct pivot
-		// scans and column elimination without per-row cursors.
-		s.colPtr = make([]int, dim+1)
-		for _, col := range s.colIdx {
-			s.colPtr[col+1]++
+	// Column-compressed twin of the row pattern, for direct pivot scans
+	// and column elimination without per-row cursors.
+	s.colPtr = make([]int, dim+1)
+	for _, col := range s.colIdx {
+		s.colPtr[col+1]++
+	}
+	for i := 0; i < dim; i++ {
+		s.colPtr[i+1] += s.colPtr[i]
+	}
+	s.colRow = make([]int32, nnz)
+	s.colSlot = make([]int32, nnz)
+	next := make([]int, dim)
+	copy(next, s.colPtr[:dim])
+	for r := 0; r < dim; r++ {
+		for q := s.rowPtr[r]; q < s.rowPtr[r+1]; q++ {
+			col := s.colIdx[q]
+			k := next[col]
+			next[col] = k + 1
+			s.colRow[k] = int32(r)
+			s.colSlot[k] = int32(q)
 		}
-		for i := 0; i < dim; i++ {
-			s.colPtr[i+1] += s.colPtr[i]
-		}
-		s.colRow = make([]int32, nnz)
-		s.colSlot = make([]int32, nnz)
-		next := make([]int, dim)
-		copy(next, s.colPtr[:dim])
-		for r := 0; r < dim; r++ {
-			for q := s.rowPtr[r]; q < s.rowPtr[r+1]; q++ {
-				col := s.colIdx[q]
-				k := next[col]
-				next[col] = k + 1
-				s.colRow[k] = int32(r)
-				s.colSlot[k] = int32(q)
-			}
-		}
-	} else {
-		s.trash = dim * dim
-		s.vals = make([]float64, dim*dim+1)
-		s.fill = 0
 	}
 
 	// slotOf maps an MNA coordinate to its storage slot; ground writes go
@@ -345,22 +323,11 @@ func (c *Circuit) layout(s *solver) {
 		if r == 0 || col == 0 {
 			return s.trash
 		}
-		if !s.sparse {
-			return (r-1)*dim + (col - 1)
-		}
-		lo, hi := s.rowPtr[r-1], s.rowPtr[r]
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if s.colIdx[mid] < col-1 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo >= s.rowPtr[r] || s.colIdx[lo] != col-1 {
+		k, ok := slices.BinarySearch(s.colIdx[s.rowPtr[r-1]:s.rowPtr[r]], col-1)
+		if !ok {
 			panic("mna: stamped entry missing from CSR pattern")
 		}
-		return lo
+		return s.rowPtr[r-1] + k
 	}
 	rhsSlot := func(r int) int {
 		if r == 0 {
@@ -418,7 +385,6 @@ func (c *Circuit) layout(s *solver) {
 		s.fnDps = make([]float64, maxCtrl)
 	}
 
-	c.stats.Sparse = s.sparse
 	c.stats.Nonzeros = s.stamped
 	c.stats.Fill = s.fill
 }

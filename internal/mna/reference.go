@@ -7,9 +7,9 @@ import (
 )
 
 // This file preserves the original dense allocate-per-solve eliminator as
-// SolverReference: the oracle against which the plan-based dense and sparse
-// solvers are proven bit-identical (see the corpus equivalence tests). It is
-// never used outside tests unless explicitly selected via Circuit.Solver.
+// SolverReference: the oracle against which the plan-based exact tier is
+// proven bit-identical (see the corpus equivalence tests). It is never used
+// outside tests unless explicitly selected via Circuit.Solver.
 
 // matrix is a dense MNA system Ax = b with ground row/column folded away.
 type matrix struct {

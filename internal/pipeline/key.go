@@ -103,10 +103,10 @@ func RangesKey(vhifText string) Key {
 // by port name, the analysis window in hex-exact form, and the solver
 // tier with its error budget. Two exclusions are deliberate. Workers
 // cannot affect a transient (only the AC sweep parallelizes), so it is
-// result-neutral. And all bit-identical solver modes — auto, dense,
-// sparse, reference — share the single tag "exact", because byte-equal
-// outputs deserve one cache slot; only SolverFast gets its own tag, and
-// only its tag embeds the budget, since the exact modes never consult it.
+// result-neutral. And the two bit-identical tiers — exact and reference —
+// share the single tag "exact", because byte-equal outputs deserve one
+// cache slot; only SolverFast gets its own tag, and only its tag embeds
+// the budget, since the exact tiers never consult it.
 func SpiceKey(netlistData string, inputs map[string]string, tstop, tstep float64, solver mna.SolverMode, budget mna.ErrorBudget) Key {
 	names := make([]string, 0, len(inputs))
 	for n := range inputs {

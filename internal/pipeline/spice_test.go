@@ -78,7 +78,7 @@ func TestSpiceMemoized(t *testing.T) {
 
 // TestSpiceKeySensitivity pins exactly which knobs re-address a simulation:
 // every result-bearing input changes the key, the result-neutral ones do
-// not, and all byte-identical solver modes share one slot.
+// not, and the byte-identical exact and reference tiers share one slot.
 func TestSpiceKeySensitivity(t *testing.T) {
 	inputs := map[string]string{"a": "sine:0.5,1000", "b": "dc:0.2"}
 	base := SpiceKey("nl", inputs, 1e-3, 1e-6, mna.SolverAuto, mna.ErrorBudget{})
@@ -87,7 +87,6 @@ func TestSpiceKeySensitivity(t *testing.T) {
 		key   Key
 	}{
 		{"reference mode", SpiceKey("nl", inputs, 1e-3, 1e-6, mna.SolverReference, mna.ErrorBudget{})},
-		{"sparse mode", SpiceKey("nl", inputs, 1e-3, 1e-6, mna.SolverSparse, mna.ErrorBudget{})},
 		{"budget under exact tier", SpiceKey("nl", inputs, 1e-3, 1e-6, mna.SolverAuto, mna.ErrorBudget{RelTol: 1e-2})},
 	}
 	for _, tc := range same {

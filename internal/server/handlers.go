@@ -319,7 +319,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) *httpErr
 	default:
 		return errorf(http.StatusBadRequest, "unknown level %q (valid: behavioral, circuit)", req.Level)
 	}
-	tier := solveropt.Exact
+	tier := mna.SolverAuto
 	if req.Solver != "" {
 		if tier, err = solveropt.Parse(req.Solver); err != nil {
 			return errorf(http.StatusBadRequest, "%v", err)
@@ -381,7 +381,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) *httpErr
 // a repeated request under the same netlist, inputs, window and solver
 // tier never runs the solver again. The response carries the port
 // waveforms (polarity-corrected), named like the behavioral level's.
-func (s *Server) handleSimulateCircuit(ctx context.Context, w http.ResponseWriter, cr *pipeline.CompileResult, req simulateRequest, tier solveropt.Tier) *httpError {
+func (s *Server) handleSimulateCircuit(ctx context.Context, w http.ResponseWriter, cr *pipeline.CompileResult, req simulateRequest, tier mna.SolverMode) *httpError {
 	opts := mapper.DefaultOptions()
 	granted := s.sched.lease(1)
 	defer s.sched.release(granted)
@@ -396,7 +396,7 @@ func (s *Server) handleSimulateCircuit(ctx context.Context, w http.ResponseWrite
 	}
 	budget := mna.ErrorBudget{RelTol: req.RelTol, AbsTol: req.AbsTol}
 	sd, err := s.pipe.Spice(ctx, data, req.Inputs, req.TStop, req.TStep, pipeline.SpiceOptions{
-		Solver: tier.Mode(),
+		Solver: tier,
 		Budget: budget,
 	})
 	if err != nil {

@@ -542,6 +542,39 @@ func TestSimulateCircuitLevel(t *testing.T) {
 	}
 }
 
+// TestSimulateCircuitExtremeWindow pins the circuit-level window guard: a
+// step count past the int range and a representable but enormous one once
+// crashed the whole process inside the spice stage. Both must now answer
+// within their deadline, with a 4xx or a 206 truncated trace, and leave
+// the server healthy.
+func TestSimulateCircuitExtremeWindow(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, w := range []struct{ tstop, tstep float64 }{{1e30, 1e-9}, {1, 1e-12}} {
+		start := time.Now()
+		rec, _ := post(t, s, "/v1/simulate", map[string]any{
+			"name":       "mixer.vhd",
+			"source":     mixerSrc,
+			"inputs":     map[string]string{"a": "dc:0.1", "b": "dc:0.2"},
+			"tstop":      w.tstop,
+			"tstep":      w.tstep,
+			"every":      1000,
+			"level":      "circuit",
+			"timeout_ms": 300,
+		})
+		if rec.Code != http.StatusPartialContent && (rec.Code < 400 || rec.Code > 499) {
+			t.Errorf("tstop=%g tstep=%g: status %d, want 4xx or 206 (body %.200s)", w.tstop, w.tstep, rec.Code, rec.Body)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Errorf("tstop=%g tstep=%g: answered after %v, past its 300 ms deadline", w.tstop, w.tstep, elapsed)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("healthz after extreme windows: %d %s", rec.Code, rec.Body)
+	}
+}
+
 // TestSimulateSolverValidation pins the shared solveropt error contract at
 // the HTTP boundary: an unknown tier is a 400 listing the valid names, and
 // solver fields on a behavioral request are rejected rather than ignored.

@@ -1,17 +1,15 @@
 // Package solveropt is the one shared parser for the user-facing MNA solver
 // tier selection. Every tool that exposes a -solver flag (vasesim,
 // vasebench) and every service field that names a tier (vased /v1/simulate)
-// resolves the string here, so the accepted names, the error text and the
-// mapping onto mna.SolverMode cannot drift between entry points.
+// resolves the string here, so the accepted names and the error text cannot
+// drift between entry points.
 //
-// The tool-level vocabulary is deliberately smaller than the engine's:
+// The tool vocabulary is the engine's own set of tiers, named by
+// mna.SolverMode's String method:
 //
 //	reference — the textbook dense solver, the semantic ground truth
-//	exact     — the planned dense/sparse engine, bit-identical to reference
+//	exact     — the planned CSR engine, bit-identical to reference
 //	fast      — the tolerance-tier engine, within an ErrorBudget of reference
-//
-// The engine's dense/sparse/auto distinction is an internal crossover
-// decision; tools only choose a contract.
 package solveropt
 
 import (
@@ -20,83 +18,47 @@ import (
 	"vase/internal/mna"
 )
 
-// Tier is a tool-level solver selection.
-type Tier int
-
-const (
-	// Exact is the default: the planned engine whose results are
-	// bit-identical to the reference.
-	Exact Tier = iota
-	// Reference is the unplanned textbook solver.
-	Reference
-	// Fast is the tolerance-tier engine: results within the error budget
-	// of the reference, not bitwise equal to it.
-	Fast
-)
-
 // Names lists the accepted -solver values, in documentation order.
 func Names() []string { return []string{"reference", "exact", "fast"} }
 
-func (t Tier) String() string {
-	switch t {
-	case Reference:
-		return "reference"
-	case Fast:
-		return "fast"
-	default:
-		return "exact"
-	}
-}
-
 // Parse resolves a user-supplied tier name.
-func Parse(s string) (Tier, error) {
+func Parse(s string) (mna.SolverMode, error) {
 	switch s {
 	case "reference":
-		return Reference, nil
+		return mna.SolverReference, nil
 	case "exact":
-		return Exact, nil
+		return mna.SolverAuto, nil
 	case "fast":
-		return Fast, nil
+		return mna.SolverFast, nil
 	}
-	return Exact, fmt.Errorf("unknown solver %q (valid: reference, exact, fast)", s)
+	return mna.SolverAuto, fmt.Errorf("unknown solver %q (valid: reference, exact, fast)", s)
 }
 
-// Mode maps the tier onto the engine's solver mode.
-func (t Tier) Mode() mna.SolverMode {
-	switch t {
-	case Reference:
-		return mna.SolverReference
-	case Fast:
-		return mna.SolverFast
-	default:
-		return mna.SolverAuto
-	}
-}
-
-// Flag is a flag.Value for a Tier, so every CLI binds the same parser:
+// Flag is a flag.Value for a solver tier, so every CLI binds the same
+// parser:
 //
-//	tier := solveropt.Exact
-//	flag.Var(solveropt.Flag{&tier}, "solver", solveropt.Usage)
+//	mode := mna.SolverAuto
+//	flag.Var(solveropt.Flag{Mode: &mode}, "solver", solveropt.Usage)
 //
 // With the standard ExitOnError flag set, an unknown name prints the valid
 // list and exits 2 — the tools' usage-error exit code.
-type Flag struct{ Tier *Tier }
+type Flag struct{ Mode *mna.SolverMode }
 
 // Usage is the shared help text for -solver flags.
 const Usage = "MNA solver tier: reference | exact (bit-identical, planned) | fast (within -reltol/-abstol of reference)"
 
 func (f Flag) String() string {
-	if f.Tier == nil {
-		return Exact.String()
+	if f.Mode == nil {
+		return mna.SolverAuto.String()
 	}
-	return f.Tier.String()
+	return f.Mode.String()
 }
 
 func (f Flag) Set(s string) error {
-	t, err := Parse(s)
+	m, err := Parse(s)
 	if err != nil {
 		return err
 	}
-	*f.Tier = t
+	*f.Mode = m
 	return nil
 }

@@ -10,12 +10,12 @@ import (
 
 func TestParseRoundTrip(t *testing.T) {
 	for _, name := range Names() {
-		tier, err := Parse(name)
+		mode, err := Parse(name)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", name, err)
 		}
-		if tier.String() != name {
-			t.Errorf("Parse(%q).String() = %q", name, tier.String())
+		if mode.String() != name {
+			t.Errorf("Parse(%q).String() = %q", name, mode.String())
 		}
 	}
 }
@@ -23,7 +23,7 @@ func TestParseRoundTrip(t *testing.T) {
 func TestParseUnknownListsValid(t *testing.T) {
 	_, err := Parse("sparse")
 	if err == nil {
-		t.Fatal("Parse(sparse) accepted; the engine-internal names must not leak into the tool vocabulary")
+		t.Fatal("Parse(sparse) accepted; only the engine's three tiers are tool vocabulary")
 	}
 	for _, name := range Names() {
 		if !strings.Contains(err.Error(), name) {
@@ -33,31 +33,31 @@ func TestParseUnknownListsValid(t *testing.T) {
 }
 
 func TestModeMapping(t *testing.T) {
-	cases := map[Tier]mna.SolverMode{
-		Reference: mna.SolverReference,
-		Exact:     mna.SolverAuto,
-		Fast:      mna.SolverFast,
+	cases := map[string]mna.SolverMode{
+		"reference": mna.SolverReference,
+		"exact":     mna.SolverAuto,
+		"fast":      mna.SolverFast,
 	}
-	for tier, want := range cases {
-		if got := tier.Mode(); got != want {
-			t.Errorf("%v.Mode() = %v, want %v", tier, got, want)
+	for name, want := range cases {
+		if got, _ := Parse(name); got != want {
+			t.Errorf("Parse(%q) = %v, want %v", name, got, want)
 		}
 	}
 }
 
 func TestFlagBinding(t *testing.T) {
-	tier := Exact
+	mode := mna.SolverAuto
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	fs.Var(Flag{&tier}, "solver", Usage)
+	fs.Var(Flag{&mode}, "solver", Usage)
 	if err := fs.Parse([]string{"-solver=fast"}); err != nil {
 		t.Fatal(err)
 	}
-	if tier != Fast {
-		t.Fatalf("tier = %v after -solver=fast", tier)
+	if mode != mna.SolverFast {
+		t.Fatalf("mode = %v after -solver=fast", mode)
 	}
 	fs2 := flag.NewFlagSet("x", flag.ContinueOnError)
 	fs2.SetOutput(new(strings.Builder))
-	fs2.Var(Flag{&tier}, "solver", Usage)
+	fs2.Var(Flag{&mode}, "solver", Usage)
 	if err := fs2.Parse([]string{"-solver=bogus"}); err == nil {
 		t.Fatal("unknown tier accepted by the flag binding")
 	}

@@ -420,8 +420,9 @@ type SolverMode = mna.SolverMode
 // The two solver tiers of the public API: the exact planned engine
 // (bit-identical to the original reference eliminator) and the
 // tolerance-tier engine (deterministic, within ErrorBudget of the
-// reference). The finer-grained mna modes remain available to callers
-// that import internal/mna directly.
+// reference). The third tier, mna.SolverReference, is the equivalence-test
+// oracle and has no facade constant; the tools reach it as -solver
+// reference.
 const (
 	SolverExact SolverMode = mna.SolverAuto
 	SolverFast  SolverMode = mna.SolverFast
