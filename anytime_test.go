@@ -1,5 +1,5 @@
 // Public-API surface of the anytime contract: Synthesize under a context,
-// cancellation of Compile/Lint, and truncated simulations.
+// cancellation of Compile/Lint, and truncated simulations and sweeps.
 package vase_test
 
 import (
@@ -25,7 +25,7 @@ func isolated(t *testing.T) *vase.Pipeline {
 func TestSynthesizeCancelledReturnsNonoptimal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	arch, err := vase.SynthesizeVia(ctx, isolated(t), vase.Source{Name: "mixer.vhd", Text: mixerSrc},
+	arch, err := vase.Synthesize(ctx, isolated(t), vase.Source{Name: "mixer.vhd", Text: mixerSrc},
 		vase.DefaultSynthesisOptions())
 	if err != nil {
 		t.Fatalf("cancelled Synthesize failed instead of returning incumbent: %v", err)
@@ -41,12 +41,12 @@ func TestSynthesizeCancelledReturnsNonoptimal(t *testing.T) {
 func TestSynthesizeDeadlineOption(t *testing.T) {
 	// An ample deadline changes nothing: same netlist, Nonoptimal unset.
 	opts := vase.DefaultSynthesisOptions()
-	arch, err := vase.Synthesize(context.Background(), vase.Source{Name: "mixer.vhd", Text: mixerSrc}, opts)
+	arch, err := vase.Synthesize(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc}, opts)
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
 	opts.Deadline = time.Hour
-	bounded, err := vase.Synthesize(context.Background(), vase.Source{Name: "mixer.vhd", Text: mixerSrc}, opts)
+	bounded, err := vase.Synthesize(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc}, opts)
 	if err != nil {
 		t.Fatalf("synthesize with deadline: %v", err)
 	}
@@ -61,36 +61,36 @@ func TestSynthesizeDeadlineOption(t *testing.T) {
 func TestCompileContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := vase.CompileVia(ctx, isolated(t), vase.Source{Name: "mixer.vhd", Text: mixerSrc}); err == nil {
-		t.Fatal("cancelled CompileContext succeeded")
+	if _, err := vase.Compile(ctx, isolated(t), vase.Source{Name: "mixer.vhd", Text: mixerSrc}); err == nil {
+		t.Fatal("cancelled Compile succeeded")
 	}
 }
 
 func TestLintContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := vase.LintVia(ctx, isolated(t), vase.Source{Name: "mixer.vhd", Text: mixerSrc}, vase.LintOptions{}); err == nil {
-		t.Fatal("cancelled LintContext succeeded")
+	if _, err := vase.Lint(ctx, isolated(t), vase.Source{Name: "mixer.vhd", Text: mixerSrc}, vase.LintOptions{}); err == nil {
+		t.Fatal("cancelled Lint succeeded")
 	}
 	// An open context lints normally.
-	if _, err := vase.LintContext(context.Background(),
+	if _, err := vase.Lint(context.Background(), nil,
 		vase.Source{Name: "mixer.vhd", Text: mixerSrc}, vase.LintOptions{}); err != nil {
-		t.Fatalf("background LintContext failed: %v", err)
+		t.Fatalf("background Lint failed: %v", err)
 	}
 }
 
 func TestACContextTruncates(t *testing.T) {
-	d, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: mixerSrc})
+	d, err := vase.Compile(context.Background(), nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	arch, err := d.Synthesize()
+	arch, err := d.Synthesize(context.Background(), vase.DefaultSynthesisOptions())
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	resp, err := arch.ACContext(ctx, "a", 10, 1e6, 16)
+	resp, err := arch.AC(ctx, "a", 10, 1e6, 16)
 	if err != nil {
 		t.Fatalf("cancelled AC failed instead of truncating: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestACContextTruncates(t *testing.T) {
 		t.Errorf("cancelled-before-start sweep holds %d points, want 0", len(resp.Freqs))
 	}
 	// A live context sweeps all points.
-	full, err := arch.ACContext(context.Background(), "a", 10, 1e6, 16)
+	full, err := arch.AC(context.Background(), "a", 10, 1e6, 16)
 	if err != nil {
 		t.Fatalf("AC: %v", err)
 	}
@@ -111,12 +111,12 @@ func TestACContextTruncates(t *testing.T) {
 }
 
 func TestSimulateContextTruncates(t *testing.T) {
-	d, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: mixerSrc})
+	d, err := vase.Compile(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	inputs := map[string]vase.Waveform{"a": vase.DC(1), "b": vase.DC(1)}
-	tr, err := d.SimulateContext(context.Background(), inputs,
+	tr, err := d.Simulate(ctx, inputs,
 		vase.SimOptions{TStop: 1, TStep: 1e-4, MaxSteps: 7})
 	if err != nil {
 		t.Fatalf("simulate: %v", err)

@@ -30,7 +30,7 @@ func benchmarkApp(b *testing.B, key string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bd, err := corpus.BuildApp(app)
+		bd, err := corpus.BuildApp(context.Background(), nil, app, mapper.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func BenchmarkTable1FuncGen(b *testing.B)    { benchmarkApp(b, "funcgen") }
 func BenchmarkTable1All(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		builds, err := corpus.BuildAll()
+		builds, err := corpus.BuildAll(context.Background(), nil, mapper.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func BenchmarkFigure7(b *testing.B) {
 // benchFigure8 measures the circuit-level receiver transient (3 ms at
 // 1 us steps) through one MNA solver tier.
 func benchFigure8(b *testing.B, mode mna.SolverMode) {
-	bd, err := corpus.BuildApp(corpus.ByKey("receiver"))
+	bd, err := corpus.BuildApp(context.Background(), nil, corpus.ByKey("receiver"), mapper.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -173,7 +173,7 @@ begin
 end architecture;`
 
 func synthModule(b *testing.B, opts mapper.Options) mapper.Stats {
-	d, err := vase.Compile(vase.Source{Name: "cascade.vhd", Text: ablationSource})
+	d, err := vase.Compile(context.Background(), nil, vase.Source{Name: "cascade.vhd", Text: ablationSource})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,7 +239,7 @@ begin
   y1 == (5.0 * a) * c;
   y2 == (5.0 * a) * c + 1.0;
 end architecture;`}
-	d, err := vase.Compile(src)
+	d, err := vase.Compile(context.Background(), nil, src)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func BenchmarkHeuristicFirstFit(b *testing.B) {
 		opts.FirstFit = firstFit
 		var nodes, amps int
 		for i := 0; i < b.N; i++ {
-			d, err := vase.Compile(vase.Source{Name: "cascade.vhd", Text: ablationSource})
+			d, err := vase.Compile(context.Background(), nil, vase.Source{Name: "cascade.vhd", Text: ablationSource})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -309,7 +309,7 @@ func BenchmarkHeuristicFirstFit(b *testing.B) {
 // compilation, then pattern-absorbing mapping) against naive one-block-per-
 // cell mapping — the paper's argument for separating the steps.
 func BenchmarkAblationDirect(b *testing.B) {
-	bd, err := corpus.BuildApp(corpus.ByKey("receiver"))
+	bd, err := corpus.BuildApp(context.Background(), nil, corpus.ByKey("receiver"), mapper.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func BenchmarkPipelineCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		arch, err := vase.SynthesizeVia(context.Background(), p, src, vase.DefaultSynthesisOptions())
+		arch, err := vase.Synthesize(context.Background(), p, src, vase.DefaultSynthesisOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -369,13 +369,13 @@ func BenchmarkPipelineCached(b *testing.B) {
 		b.Fatal(err)
 	}
 	src := vase.Source{Name: "receiver.vhd", Text: corpus.ByKey("receiver").Source}
-	if _, err := vase.SynthesizeVia(context.Background(), p, src, vase.DefaultSynthesisOptions()); err != nil {
+	if _, err := vase.Synthesize(context.Background(), p, src, vase.DefaultSynthesisOptions()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arch, err := vase.SynthesizeVia(context.Background(), p, src, vase.DefaultSynthesisOptions())
+		arch, err := vase.Synthesize(context.Background(), p, src, vase.DefaultSynthesisOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -457,7 +457,7 @@ func BenchmarkTable1Parallel(b *testing.B) {
 			opts.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := corpus.BuildAllWith(opts); err != nil {
+				if _, err := corpus.BuildAll(context.Background(), nil, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"vase"
+	"vase/internal/cliopt"
 	"vase/internal/exitcode"
 )
 
@@ -32,8 +33,7 @@ func main() {
 	werror := flag.Bool("Werror", false, "with -lint, treat warnings as errors")
 	timeout := flag.Duration("timeout", 0, "deadline for the search; on expiry the best netlist found so far is printed (0 = none)")
 	maxSteps := flag.Int("max-steps", 0, "search node budget; on exhaustion the best netlist so far is printed (0 = unlimited)")
-	cacheDir := flag.String("cache-dir", "", "persist compile and synthesis artifacts in this directory (content-addressed, shareable across runs)")
-	cacheStats := flag.Bool("cache-stats", false, "print the per-stage cache hit/miss table to stderr on exit")
+	cache := cliopt.CacheFlags("compile and synthesis artifacts")
 	flag.Parse()
 
 	opts := vase.DefaultSynthesisOptions()
@@ -41,20 +41,13 @@ func main() {
 	opts.Workers = *workers
 	opts.MaxNodes = *maxSteps
 
-	pipe, err := vase.NewPipeline(vase.PipelineOptions{CacheDir: *cacheDir})
+	pipe, report, err := cache.Open()
 	if err != nil {
 		fail(err)
 	}
-	if *cacheStats {
-		defer func() { fmt.Fprint(os.Stderr, pipe.Stats()) }()
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	defer report()
+	ctx, cancel := cliopt.Context(*timeout)
+	defer cancel()
 
 	var arch *vase.Architecture
 	if *fromVHIF {
@@ -70,11 +63,11 @@ func main() {
 			fail(err)
 		}
 		if *lintFlag || *werror {
-			findings, err := vase.LintVHIFVia(context.Background(), pipe, flag.Args()[0], string(text), vase.LintOptions{})
+			findings, err := vase.LintVHIF(context.Background(), pipe, flag.Args()[0], string(text), vase.LintOptions{})
 			if err != nil {
-				failSource(err, vase.Source{Name: flag.Args()[0], Text: string(text)})
+				cliopt.FailSource(err, vase.Source{Name: flag.Args()[0], Text: string(text)})
 			}
-			if !reportFindings(findings, vase.Source{Name: flag.Args()[0], Text: string(text)}, *werror) {
+			if !cliopt.ReportFindings(findings, vase.Source{Name: flag.Args()[0], Text: string(text)}, *werror) {
 				os.Exit(exitcode.Error)
 			}
 		}
@@ -82,34 +75,33 @@ func main() {
 			fmt.Print(m.Dump())
 			fmt.Println()
 		}
-		arch, err = vase.SynthesizeModuleVia(ctx, pipe, m, opts)
+		arch, err = vase.SynthesizeModule(ctx, pipe, m, opts)
 		if err != nil {
 			fail(err)
 		}
 	} else {
-		src, err := loadSource(*benchmark, flag.Args())
+		src, err := cliopt.LoadSource("vase", *benchmark, flag.Args())
 		if err != nil {
 			usage(err)
 		}
 		if *lintFlag || *werror {
-			findings, err := vase.LintVia(context.Background(), pipe, src, vase.LintOptions{})
+			findings, err := vase.Lint(context.Background(), pipe, src, vase.LintOptions{})
 			if err != nil {
-				failSource(err, src)
+				cliopt.FailSource(err, src)
 			}
-			if !reportFindings(findings, src, *werror) {
+			if !cliopt.ReportFindings(findings, src, *werror) {
 				os.Exit(exitcode.Error)
 			}
 		}
-		d, err := vase.CompileVia(context.Background(), pipe, src)
+		d, err := vase.Compile(context.Background(), pipe, src)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, vase.RenderDiagnostics(err, src))
-			os.Exit(exitcode.Error)
+			cliopt.FailSource(err, src)
 		}
 		if *showVHIF {
 			fmt.Print(d.VHIF.Dump())
 			fmt.Println()
 		}
-		arch, err = d.SynthesizeContext(ctx, opts)
+		arch, err = d.Synthesize(ctx, opts)
 		if err != nil {
 			fail(err)
 		}
@@ -156,19 +148,6 @@ func main() {
 	}
 }
 
-// reportFindings prints warning-or-worse findings to stderr and reports
-// whether synthesis should proceed.
-func reportFindings(findings vase.Diagnostics, src vase.Source, werror bool) bool {
-	if werror {
-		findings = findings.Promote()
-	}
-	shown := findings.Filter(vase.SeverityWarning)
-	if len(shown) > 0 {
-		fmt.Fprint(os.Stderr, vase.RenderDiagnostics(shown, src))
-	}
-	return !shown.HasErrors()
-}
-
 func formatTree(arch *vase.Architecture) string {
 	if arch.Tree == nil {
 		return "(no tree recorded)\n"
@@ -176,34 +155,8 @@ func formatTree(arch *vase.Architecture) string {
 	return vase.FormatDecisionTree(arch.Tree)
 }
 
-func loadSource(benchmark string, args []string) (vase.Source, error) {
-	if benchmark != "" {
-		app, err := vase.Benchmark(benchmark)
-		if err != nil {
-			return vase.Source{}, err
-		}
-		return vase.Source{Name: benchmark + ".vhd", Text: app.Source}, nil
-	}
-	if len(args) != 1 {
-		return vase.Source{}, fmt.Errorf("usage: vase [flags] file.vhd (or -benchmark name)")
-	}
-	text, err := os.ReadFile(args[0])
-	if err != nil {
-		return vase.Source{}, err
-	}
-	return vase.Source{Name: args[0], Text: string(text)}, nil
-}
-
 func fail(err error) {
 	exitcode.Fail("vase", exitcode.Error, err)
-}
-
-// failSource is fail for errors raised against a known source: diagnostics
-// render with source excerpts and caret markers, every finding shown in
-// deterministic order.
-func failSource(err error, src vase.Source) {
-	fmt.Fprintln(os.Stderr, vase.RenderDiagnostics(err, src))
-	os.Exit(exitcode.Error)
 }
 
 func usage(err error) {

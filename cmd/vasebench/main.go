@@ -10,18 +10,17 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 
+	"vase/internal/cliopt"
 	"vase/internal/corpus"
 	"vase/internal/diag"
 	"vase/internal/exitcode"
 	"vase/internal/mapper"
 	"vase/internal/mna"
-	"vase/internal/pipeline"
 	"vase/internal/solveropt"
 	"vase/internal/source"
 )
@@ -36,19 +35,16 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel search workers for Table 1 (0 = all CPUs, 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "shared deadline for the Table 1 searches; expired entries use the best netlist found so far (0 = none)")
 	maxSteps := flag.Int("max-steps", 0, "per-application search node budget for Table 1 (0 = unlimited)")
-	cacheDir := flag.String("cache-dir", "", "persist compile and synthesis artifacts in this directory (content-addressed, shareable across runs)")
-	cacheStats := flag.Bool("cache-stats", false, "print the per-stage cache hit/miss table to stderr on exit")
+	cache := cliopt.CacheFlags("compile and synthesis artifacts")
 	solver := mna.SolverAuto
 	flag.Var(solveropt.Flag{Mode: &solver}, "solver", solveropt.Usage+" (affects Figure 8)")
 	flag.Parse()
 
-	pipe, err := pipeline.New(pipeline.Options{CacheDir: *cacheDir})
+	pipe, report, err := cache.Open()
 	if err != nil {
 		fail(err)
 	}
-	if *cacheStats {
-		defer func() { fmt.Fprint(os.Stderr, pipe.Stats()) }()
-	}
+	defer report()
 
 	all := !*table1 && !*fig3 && !*fig4 && !*fig6 && !*fig7 && !*fig8
 
@@ -57,13 +53,9 @@ func main() {
 		opts := mapper.DefaultOptions()
 		opts.Workers = *workers
 		opts.MaxNodes = *maxSteps
-		ctx := context.Background()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
-		}
-		builds, err := corpus.BuildAllIn(ctx, pipe, opts)
+		ctx, cancel := cliopt.Context(*timeout)
+		defer cancel()
+		builds, err := corpus.BuildAll(ctx, pipe, opts)
 		if err != nil {
 			fail(err)
 		}
@@ -109,7 +101,7 @@ func main() {
 	}
 	if *fig8 || all {
 		section("Figure 8")
-		_, text, err := corpus.Figure8With(corpus.SpiceConfig{Solver: solver})
+		_, text, err := corpus.Figure8(corpus.SpiceConfig{Solver: solver})
 		if err != nil {
 			fail(err)
 		}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -22,6 +23,7 @@ import (
 	"strings"
 
 	"vase"
+	"vase/internal/cliopt"
 	"vase/internal/exitcode"
 	"vase/internal/source"
 )
@@ -67,16 +69,15 @@ func main() {
 		var findings vase.Diagnostics
 		var f *source.File
 		if strings.HasSuffix(path, ".vhif") {
-			findings, err = vase.LintVHIF(path, text, opts)
+			findings, err = vase.LintVHIF(context.Background(), nil, path, text, opts)
 		} else {
-			findings, err = vase.Lint(vase.Source{Name: path, Text: text}, opts)
+			findings, err = vase.Lint(context.Background(), nil, vase.Source{Name: path, Text: text}, opts)
 			f = source.NewFile(path, text)
 		}
 		if err != nil {
 			// A failing lint still renders its diagnostics with excerpts and
 			// carets, not the capped one-line summary.
-			fmt.Fprintln(os.Stderr, vase.RenderDiagnostics(err, vase.Source{Name: path, Text: text}))
-			os.Exit(exitcode.Error)
+			cliopt.FailSource(err, vase.Source{Name: path, Text: text})
 		}
 		if *werror {
 			findings = findings.Promote()

@@ -21,7 +21,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -30,6 +29,7 @@ import (
 
 	"vase"
 	"vase/internal/assertlang"
+	"vase/internal/cliopt"
 	"vase/internal/exitcode"
 	"vase/internal/solveropt"
 )
@@ -62,8 +62,7 @@ func main() {
 	benchmark := flag.String("benchmark", "", "simulate a built-in benchmark")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline; an expired simulation prints the partial trace (0 = none)")
 	maxSteps := flag.Int("max-steps", 0, "integration step budget; the trace is truncated on exhaustion (0 = unlimited)")
-	cacheDir := flag.String("cache-dir", "", "persist compile and synthesis artifacts in this directory (content-addressed, shareable across runs)")
-	cacheStats := flag.Bool("cache-stats", false, "print the per-stage cache hit/miss table to stderr on exit")
+	cache := cliopt.CacheFlags("compile and synthesis artifacts")
 	solverStats := flag.Bool("stats", false, "print linear-solver statistics to stderr on exit (circuit level only)")
 	workers := flag.Int("workers", 0, "parallel fan-out of circuit-level AC sweeps (0 = all CPUs, 1 = sequential; results are identical)")
 	solver := vase.SolverExact
@@ -73,22 +72,15 @@ func main() {
 	checkAsserts := flag.Bool("assert", false, "evaluate the source's '-- assert:' pragmas against the trace; FAIL exits nonzero (truncated traces resolve to UNKNOWN)")
 	flag.Parse()
 
-	pipe, err := vase.NewPipeline(vase.PipelineOptions{CacheDir: *cacheDir})
+	pipe, report, err := cache.Open()
 	if err != nil {
 		fail(err)
 	}
-	if *cacheStats {
-		defer func() { fmt.Fprint(os.Stderr, pipe.Stats()) }()
-	}
+	defer report()
+	ctx, cancel := cliopt.Context(*timeout)
+	defer cancel()
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	src, err := loadSource(*benchmark, flag.Args())
+	src, err := cliopt.LoadSource("vasesim", *benchmark, flag.Args())
 	if err != nil {
 		usage(err)
 	}
@@ -102,9 +94,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "note: -assert set but the source has no '-- assert:' pragmas")
 		}
 	}
-	d, err := vase.CompileVia(ctx, pipe, src)
+	d, err := vase.Compile(ctx, pipe, src)
 	if err != nil {
-		failSource(err, src)
+		cliopt.FailSource(err, src)
 	}
 
 	// Static verdicts first: a proved assertion holds for every input
@@ -113,9 +105,9 @@ func main() {
 	// the concrete witness (or stays undecided).
 	monitored := asserts
 	if len(asserts) > 0 {
-		ranges, err := d.RangesContext(ctx)
+		ranges, err := d.Ranges(ctx)
 		if err != nil {
-			failSource(err, src)
+			cliopt.FailSource(err, src)
 		}
 		monitored = monitored[:0:0]
 		proved := 0
@@ -156,7 +148,7 @@ func main() {
 	var outcomes []assertlang.Outcome
 	switch *level {
 	case "vhif":
-		tr, err := d.SimulateContext(ctx, inputs, opts)
+		tr, err := d.Simulate(ctx, inputs, opts)
 		if err != nil {
 			fail(err)
 		}
@@ -165,11 +157,11 @@ func main() {
 		noteTruncated(tr.Truncated)
 		outcomes = assertlang.CheckTrace(monitored, tr)
 	case "netlist":
-		arch, err := d.SynthesizeContext(ctx, vase.DefaultSynthesisOptions())
+		arch, err := d.Synthesize(ctx, vase.DefaultSynthesisOptions())
 		if err != nil {
 			fail(err)
 		}
-		tr, err := arch.SimulateContext(ctx, inputs, opts)
+		tr, err := arch.Simulate(ctx, inputs, opts)
 		if err != nil {
 			fail(err)
 		}
@@ -178,14 +170,14 @@ func main() {
 		noteTruncated(tr.Truncated)
 		outcomes = assertlang.CheckTrace(monitored, tr)
 	case "circuit":
-		arch, err := d.SynthesizeContext(ctx, vase.DefaultSynthesisOptions())
+		arch, err := d.Synthesize(ctx, vase.DefaultSynthesisOptions())
 		if err != nil {
 			fail(err)
 		}
 		arch.SimWorkers = *workers
 		arch.SimSolver = solver
 		arch.SimBudget = vase.ErrorBudget{RelTol: *reltol, AbsTol: *abstol}
-		res, err := arch.SpiceContext(ctx, inputs, *tstop, *tstep)
+		res, err := arch.Spice(ctx, inputs, *tstop, *tstep)
 		if err != nil {
 			fail(err)
 		}
@@ -201,7 +193,7 @@ func main() {
 			// on the exact tier (see DESIGN.md §16).
 			fmt.Fprintln(os.Stderr, "note: fast-tier assert verdicts not clean — re-checking on the exact tier")
 			arch.SimSolver = vase.SolverExact
-			res, err = arch.SpiceContext(ctx, inputs, *tstop, *tstep)
+			res, err = arch.Spice(ctx, inputs, *tstop, *tstep)
 			if err != nil {
 				fail(err)
 			}
@@ -308,34 +300,8 @@ func printSpice(d *vase.Design, res *vase.SpiceResult, every int) {
 	}
 }
 
-func loadSource(benchmark string, args []string) (vase.Source, error) {
-	if benchmark != "" {
-		app, err := vase.Benchmark(benchmark)
-		if err != nil {
-			return vase.Source{}, err
-		}
-		return vase.Source{Name: benchmark + ".vhd", Text: app.Source}, nil
-	}
-	if len(args) != 1 {
-		return vase.Source{}, fmt.Errorf("usage: vasesim [flags] file.vhd (or -benchmark name)")
-	}
-	text, err := os.ReadFile(args[0])
-	if err != nil {
-		return vase.Source{}, err
-	}
-	return vase.Source{Name: args[0], Text: string(text)}, nil
-}
-
 func fail(err error) {
 	exitcode.Fail("vasesim", exitcode.Error, err)
-}
-
-// failSource is fail for errors raised against a known source: diagnostics
-// render with source excerpts and caret markers, every finding shown in
-// deterministic order, instead of the capped one-line list.
-func failSource(err error, src vase.Source) {
-	fmt.Fprintln(os.Stderr, vase.RenderDiagnostics(err, src))
-	os.Exit(exitcode.Error)
 }
 
 func usage(err error) {

@@ -8,12 +8,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"vase"
+	"vase/internal/cliopt"
 	"vase/internal/exitcode"
 )
 
@@ -24,38 +24,34 @@ func main() {
 	lintFlag := flag.Bool("lint", false, "run the synthesizability linter before compiling")
 	werror := flag.Bool("Werror", false, "with -lint, treat warnings as errors")
 	timeout := flag.Duration("timeout", 0, "deadline for compiling and linting (0 = none)")
-	cacheDir := flag.String("cache-dir", "", "persist compile artifacts in this directory (content-addressed, shareable across runs)")
-	cacheStats := flag.Bool("cache-stats", false, "print the per-stage cache hit/miss table to stderr on exit")
+	cache := cliopt.CacheFlags("compile artifacts")
 	flag.Parse()
 
-	pipe, err := vase.NewPipeline(vase.PipelineOptions{CacheDir: *cacheDir})
+	pipe, report, err := cache.Open()
 	if err != nil {
 		fail(err)
 	}
-	if *cacheStats {
-		defer func() { fmt.Fprint(os.Stderr, pipe.Stats()) }()
-	}
+	defer report()
+	ctx, cancel := cliopt.Context(*timeout)
+	defer cancel()
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	src, err := loadSource(*benchmark, flag.Args())
+	src, err := cliopt.LoadSource("vassc", *benchmark, flag.Args())
 	if err != nil {
 		usage(err)
 	}
 
 	if *lintFlag || *werror {
-		if !runLint(ctx, pipe, src, *werror) {
+		findings, err := vase.Lint(ctx, pipe, src, vase.LintOptions{})
+		if err != nil {
+			fail(err)
+		}
+		if !cliopt.ReportFindings(findings, src, *werror) {
 			os.Exit(exitcode.Error)
 		}
 	}
 
 	if *alts > 0 {
-		mods, err := vase.CompileAlternatives(src, *alts)
+		mods, err := vase.CompileAlternatives(ctx, pipe, src, *alts)
 		if err != nil {
 			fail(err)
 		}
@@ -66,10 +62,9 @@ func main() {
 		return
 	}
 
-	d, err := vase.CompileVia(ctx, pipe, src)
+	d, err := vase.Compile(ctx, pipe, src)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, vase.RenderDiagnostics(err, src))
-		os.Exit(exitcode.Error)
+		cliopt.FailSource(err, src)
 	}
 	fmt.Print(d.VHIF.Dump())
 	if *metrics {
@@ -78,41 +73,6 @@ func main() {
 			r.ContinuousLines, r.Quantities, r.EventLines, r.Signals)
 		fmt.Printf("VHIF: %d blocks, %d states, %d data-path elements\n", r.Blocks, r.States, r.Datapath)
 	}
-}
-
-func loadSource(benchmark string, args []string) (vase.Source, error) {
-	if benchmark != "" {
-		app, err := vase.Benchmark(benchmark)
-		if err != nil {
-			return vase.Source{}, err
-		}
-		return vase.Source{Name: benchmark + ".vhd", Text: app.Source}, nil
-	}
-	if len(args) != 1 {
-		return vase.Source{}, fmt.Errorf("usage: vassc [flags] file.vhd (or -benchmark name)")
-	}
-	text, err := os.ReadFile(args[0])
-	if err != nil {
-		return vase.Source{}, err
-	}
-	return vase.Source{Name: args[0], Text: string(text)}, nil
-}
-
-// runLint prints warning-or-worse findings to stderr and reports whether
-// compilation should proceed.
-func runLint(ctx context.Context, pipe *vase.Pipeline, src vase.Source, werror bool) bool {
-	findings, err := vase.LintVia(ctx, pipe, src, vase.LintOptions{})
-	if err != nil {
-		fail(err)
-	}
-	if werror {
-		findings = findings.Promote()
-	}
-	shown := findings.Filter(vase.SeverityWarning)
-	if len(shown) > 0 {
-		fmt.Fprint(os.Stderr, vase.RenderDiagnostics(shown, src))
-	}
-	return !shown.HasErrors()
 }
 
 func plural(n int, one, many string) string {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -46,18 +47,19 @@ func main() {
 
 func run(title, src string, probeFreqs []float64) {
 	fmt.Println("==", title, "==")
-	design, err := vase.Compile(vase.Source{Name: "f.vhd", Text: src})
+	ctx := context.Background()
+	design, err := vase.Compile(ctx, nil, vase.Source{Name: "f.vhd", Text: src})
 	if err != nil {
 		log.Fatal(err)
 	}
-	arch, err := design.Synthesize()
+	arch, err := design.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("synthesis: %s\n", arch.Netlist.Summary())
 
 	for _, f := range probeFreqs {
-		tr, err := design.Simulate(map[string]vase.Waveform{
+		tr, err := design.Simulate(ctx, map[string]vase.Waveform{
 			"vin": vase.Sine(1, f, 0),
 		}, vase.SimOptions{TStop: 12 / f, TStep: math.Min(1e-6, 0.01/f)})
 		if err != nil {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -13,21 +14,22 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	app, err := vase.Benchmark("funcgen")
 	if err != nil {
 		log.Fatal(err)
 	}
-	design, err := vase.Compile(vase.Source{Name: "funcgen.vhd", Text: app.Source})
+	design, err := vase.Compile(ctx, nil, vase.Source{Name: "funcgen.vhd", Text: app.Source})
 	if err != nil {
 		log.Fatal(err)
 	}
-	arch, err := design.Synthesize()
+	arch, err := design.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("synthesis: %s\n\n", arch.Netlist.Summary())
 
-	tr, err := design.Simulate(map[string]vase.Waveform{},
+	tr, err := design.Simulate(ctx, map[string]vase.Waveform{},
 		vase.SimOptions{TStop: 8e-3, TStep: 1e-6})
 	if err != nil {
 		log.Fatal(err)

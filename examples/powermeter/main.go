@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,15 +14,16 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	app, err := vase.Benchmark("powermeter")
 	if err != nil {
 		log.Fatal(err)
 	}
-	design, err := vase.Compile(vase.Source{Name: "powermeter.vhd", Text: app.Source})
+	design, err := vase.Compile(ctx, nil, vase.Source{Name: "powermeter.vhd", Text: app.Source})
 	if err != nil {
 		log.Fatal(err)
 	}
-	arch, err := design.Synthesize()
+	arch, err := design.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func main() {
 	fmt.Printf("op amps: %d, area: %.0f um^2\n\n", arch.Netlist.OpAmpCount(), arch.Report.AreaUm2)
 
 	// Drive with a 50 Hz line: voltage and a lagging current.
-	tr, err := design.Simulate(map[string]vase.Waveform{
+	tr, err := design.Simulate(ctx, map[string]vase.Waveform{
 		"vline": vase.Sine(1.0, 50, 0),
 		"iline": vase.Sine(0.8, 50, -0.6),
 	}, vase.SimOptions{TStop: 60e-3, TStep: 10e-6})

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,8 +30,10 @@ end architecture;
 `
 
 func main() {
+	ctx := context.Background()
+
 	// 1. Compile VASS -> VHIF.
-	design, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: src})
+	design, err := vase.Compile(ctx, nil, vase.Source{Name: "mixer.vhd", Text: src})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +41,7 @@ func main() {
 	fmt.Print(design.VHIF.Dump())
 
 	// 2. Synthesize VHIF -> op-amp netlist (branch and bound, minimum area).
-	arch, err := design.Synthesize()
+	arch, err := design.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +52,7 @@ func main() {
 		arch.Report.AreaUm2, arch.Report.PowerMW)
 
 	// 3. Verify: behavioral simulation of the compiled design.
-	tr, err := design.Simulate(map[string]vase.Waveform{
+	tr, err := design.Simulate(ctx, map[string]vase.Waveform{
 		"mic": vase.DC(0.05),
 		"aux": vase.DC(0.1),
 	}, vase.SimOptions{TStop: 1e-3, TStep: 1e-6})

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -13,11 +14,12 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	app, err := vase.Benchmark("receiver")
 	if err != nil {
 		log.Fatal(err)
 	}
-	design, err := vase.Compile(vase.Source{Name: "receiver.vhd", Text: app.Source})
+	design, err := vase.Compile(ctx, nil, vase.Source{Name: "receiver.vhd", Text: app.Source})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,7 +28,7 @@ func main() {
 	fmt.Printf("Table 1 row: %d cont. lines, %d quantities, %d event lines, %d signals | %d blocks, %d states, %d datapath\n",
 		m.ContinuousLines, m.Quantities, m.EventLines, m.Signals, m.Blocks, m.States, m.Datapath)
 
-	arch, err := design.Synthesize()
+	arch, err := design.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func main() {
 	// Small signal: gain switches with line level (automatic line-length
 	// compensation).
 	for _, level := range []float64{0.05, 0.2} {
-		tr, err := design.Simulate(map[string]vase.Waveform{
+		tr, err := design.Simulate(ctx, map[string]vase.Waveform{
 			"line":  vase.DC(level),
 			"local": vase.DC(0),
 		}, vase.SimOptions{TStop: 1e-3, TStep: 1e-6})
@@ -48,7 +50,7 @@ func main() {
 	}
 
 	// Figure 8: circuit-level transient with a 1.5 V peak 1 kHz input.
-	res, err := arch.Spice(map[string]vase.Waveform{
+	res, err := arch.Spice(ctx, map[string]vase.Waveform{
 		"line":  vase.Sine(1.5, 1e3, 0),
 		"local": vase.DC(0),
 	}, 3e-3, 1e-6)

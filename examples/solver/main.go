@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,15 +19,16 @@ func main() {
 }
 
 func missile() {
+	ctx := context.Background()
 	app, err := vase.Benchmark("missile")
 	if err != nil {
 		log.Fatal(err)
 	}
-	design, err := vase.Compile(vase.Source{Name: "missile.vhd", Text: app.Source})
+	design, err := vase.Compile(ctx, nil, vase.Source{Name: "missile.vhd", Text: app.Source})
 	if err != nil {
 		log.Fatal(err)
 	}
-	arch, err := design.Synthesize()
+	arch, err := design.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func missile() {
 		arch.Netlist.Summary(), arch.Netlist.OpAmpCount())
 
 	// Step command: velocity settles where thrust balances drag + damping.
-	tr, err := design.Simulate(map[string]vase.Waveform{
+	tr, err := design.Simulate(ctx, map[string]vase.Waveform{
 		"cmd":  vase.StepAt(0, 1.0, 0.1),
 		"wind": vase.DC(0),
 		"bias": vase.DC(0),
@@ -51,22 +53,23 @@ func missile() {
 }
 
 func iterative() {
+	ctx := context.Background()
 	app, err := vase.Benchmark("itersolver")
 	if err != nil {
 		log.Fatal(err)
 	}
-	design, err := vase.Compile(vase.Source{Name: "itersolver.vhd", Text: app.Source})
+	design, err := vase.Compile(ctx, nil, vase.Source{Name: "itersolver.vhd", Text: app.Source})
 	if err != nil {
 		log.Fatal(err)
 	}
-	arch, err := design.Synthesize()
+	arch, err := design.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("== iterative equation solver ==")
 	fmt.Printf("architecture: %s\n", arch.Netlist.Summary())
 
-	tr, err := design.Simulate(map[string]vase.Waveform{},
+	tr, err := design.Simulate(ctx, map[string]vase.Waveform{},
 		vase.SimOptions{TStop: 20, TStep: 1e-3})
 	if err != nil {
 		log.Fatal(err)

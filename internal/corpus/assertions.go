@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"context"
-	"math"
 
 	"vase/internal/assertlang"
 	"vase/internal/mna"
@@ -43,14 +42,7 @@ func Figure8Assertions() []*assertlang.Assertion {
 // (optional) observes each recorded sample time — tests use it to cancel
 // at a deterministic point in the trace.
 func Figure8Monitored(ctx context.Context, maxSteps int, onSample func(t float64)) ([]assertlang.Outcome, *mna.Elaborated, *mna.Tran, error) {
-	b, err := BuildApp(ByKey("receiver"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	el, err := mna.Elaborate(b.Result.Netlist, map[string]mna.Waveform{
-		"line":  func(t float64) float64 { return 1.5 * math.Sin(2*math.Pi*1e3*t) },
-		"local": func(float64) float64 { return 0 },
-	})
+	el, err := figure8Circuit()
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -15,9 +15,11 @@ package corpus
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"vase/internal/mapper"
+	"vase/internal/mna"
 	"vase/internal/pipeline"
 	"vase/internal/sema"
 	"vase/internal/vhif"
@@ -277,34 +279,18 @@ type Build struct {
 	AreaUm2 float64
 }
 
-// BuildApp parses, analyzes, compiles and synthesizes one application with
-// the default synthesis options.
-func BuildApp(app *Application) (*Build, error) {
-	return BuildAppWith(app, mapper.DefaultOptions())
-}
-
-// BuildAppWith is BuildApp under explicit synthesis options (worker count,
-// ablations, objectives).
-func BuildAppWith(app *Application, opts mapper.Options) (*Build, error) {
-	return BuildAppContext(context.Background(), app, opts)
-}
-
-// BuildAppContext is BuildAppWith under a context: a deadline or
-// cancellation turns the branch-and-bound search anytime — the returned
-// Build carries the mapper's best incumbent so far, with Result.Nonoptimal
-// set. The front end always runs to completion (it is fast and its output
-// is needed for even a truncated synthesis).
-func BuildAppContext(ctx context.Context, app *Application, opts mapper.Options) (*Build, error) {
-	return BuildAppIn(ctx, pipeline.Default(), app, opts)
-}
-
-// BuildAppIn is BuildAppContext through an explicit pipeline: every stage
-// of the build (parse, sema, VHIF compilation, architecture generation) is
+// BuildApp parses, analyzes, compiles and synthesizes one application
+// through p (nil = pipeline.Default()). Every stage of the build is
 // memoized there, so rebuilding an unchanged application is served from
-// cache — Table 1 is byte-identical either way.
-func BuildAppIn(ctx context.Context, p *pipeline.Pipeline, app *Application, opts mapper.Options) (*Build, error) {
-	// The front end runs to completion even under an expired ctx: it is
-	// fast, and its output is needed for even a truncated synthesis.
+// cache — Table 1 is byte-identical either way. A deadline or cancellation
+// of ctx turns the branch-and-bound search anytime: the returned Build
+// carries the mapper's best incumbent so far, with Result.Nonoptimal set.
+// The front end always runs to completion (it is fast and its output is
+// needed for even a truncated synthesis).
+func BuildApp(ctx context.Context, p *pipeline.Pipeline, app *Application, opts mapper.Options) (*Build, error) {
+	if p == nil {
+		p = pipeline.Default()
+	}
 	cr, err := p.Compile(context.Background(), app.Key+".vhd", app.Source)
 	if err != nil {
 		return nil, fmt.Errorf("corpus %s: front end: %w", app.Key, err)
@@ -328,34 +314,38 @@ func BuildAppIn(ctx context.Context, p *pipeline.Pipeline, app *Application, opt
 	return b, nil
 }
 
-// BuildAll synthesizes every application with the default options.
-func BuildAll() ([]*Build, error) {
-	return BuildAllWith(mapper.DefaultOptions())
-}
-
-// BuildAllWith synthesizes every application under explicit options.
-func BuildAllWith(opts mapper.Options) ([]*Build, error) {
-	return BuildAllContext(context.Background(), opts)
-}
-
-// BuildAllContext synthesizes every application under a shared context; a
-// deadline bounds the whole batch, with each search returning its best
-// incumbent so far.
-func BuildAllContext(ctx context.Context, opts mapper.Options) ([]*Build, error) {
-	return BuildAllIn(ctx, pipeline.Default(), opts)
-}
-
-// BuildAllIn synthesizes every application through an explicit pipeline.
-func BuildAllIn(ctx context.Context, p *pipeline.Pipeline, opts mapper.Options) ([]*Build, error) {
+// BuildAll synthesizes every application through p (nil =
+// pipeline.Default()) under a shared context; a deadline bounds the whole
+// batch, with each search returning its best incumbent so far.
+func BuildAll(ctx context.Context, p *pipeline.Pipeline, opts mapper.Options) ([]*Build, error) {
 	var out []*Build
 	for _, app := range Applications() {
-		b, err := BuildAppIn(ctx, p, app, opts)
+		b, err := BuildApp(ctx, p, app, opts)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, b)
 	}
 	return out, nil
+}
+
+// buildReceiver builds the receiver with the default options — the design
+// behind Figures 7 and 8.
+func buildReceiver() (*Build, error) {
+	return BuildApp(context.Background(), nil, ByKey("receiver"), mapper.DefaultOptions())
+}
+
+// figure8Circuit elaborates the receiver's netlist under the Figure 8
+// stimulus: line = 1.5 V peak at 1 kHz, local = 0 V.
+func figure8Circuit() (*mna.Elaborated, error) {
+	b, err := buildReceiver()
+	if err != nil {
+		return nil, err
+	}
+	return mna.Elaborate(b.Result.Netlist, map[string]mna.Waveform{
+		"line":  func(t float64) float64 { return 1.5 * math.Sin(2*math.Pi*1e3*t) },
+		"local": func(float64) float64 { return 0 },
+	})
 }
 
 // Table1 renders the reproduced Table 1 with the paper's values alongside.

@@ -1,12 +1,27 @@
 package corpus
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"vase/internal/mapper"
 )
 
+// buildDefault builds one application through the default pipeline with
+// the default synthesis options.
+func buildDefault(app *Application) (*Build, error) {
+	return BuildApp(context.Background(), nil, app, mapper.DefaultOptions())
+}
+
+// buildAllDefault builds every application through the default pipeline
+// with the default synthesis options.
+func buildAllDefault() ([]*Build, error) {
+	return BuildAll(context.Background(), nil, mapper.DefaultOptions())
+}
+
 func TestAllApplicationsBuild(t *testing.T) {
-	builds, err := BuildAll()
+	builds, err := buildAllDefault()
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -21,7 +36,7 @@ func TestTable1(t *testing.T) {
 	for _, app := range Applications() {
 		app := app
 		t.Run(app.Key, func(t *testing.T) {
-			b, err := BuildApp(app)
+			b, err := buildDefault(app)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
@@ -68,7 +83,7 @@ func TestSynthesisResults(t *testing.T) {
 		if app == nil {
 			t.Fatalf("no application %q", key)
 		}
-		b, err := BuildApp(app)
+		b, err := buildDefault(app)
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
@@ -81,7 +96,7 @@ func TestSynthesisResults(t *testing.T) {
 }
 
 func TestTable1Renders(t *testing.T) {
-	builds, err := BuildAll()
+	builds, err := buildAllDefault()
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -94,7 +109,7 @@ func TestTable1Renders(t *testing.T) {
 }
 
 func TestAreasPositive(t *testing.T) {
-	builds, err := BuildAll()
+	builds, err := buildAllDefault()
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

@@ -51,7 +51,7 @@ func TestBehavioralNetlistEquivalenceAllApps(t *testing.T) {
 	for _, app := range Applications() {
 		app := app
 		t.Run(app.Key, func(t *testing.T) {
-			b, err := BuildApp(app)
+			b, err := buildDefault(app)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
@@ -96,7 +96,7 @@ func TestBehavioralNetlistEquivalenceAllApps(t *testing.T) {
 // (x'dot = a0 - x - integ(x) settles where the integral term balances) and
 // the convergence detector fires.
 func TestIterSolverConverges(t *testing.T) {
-	b, err := BuildApp(ByKey("itersolver"))
+	b, err := buildDefault(ByKey("itersolver"))
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestIterSolverConverges(t *testing.T) {
 // TestMissileSteadyState: with a unit command the drag chain balances the
 // command: acc -> 0 and vel settles where k1*cmd = k2*vel + k3*cd*(vel-wind)^2.
 func TestMissileSteadyState(t *testing.T) {
-	b, err := BuildApp(ByKey("missile"))
+	b, err := buildDefault(ByKey("missile"))
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

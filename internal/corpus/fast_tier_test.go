@@ -69,7 +69,7 @@ func TestFastTierWithinBudget(t *testing.T) {
 	for _, app := range Applications() {
 		app := app
 		t.Run(app.Key, func(t *testing.T) {
-			b, err := BuildApp(app)
+			b, err := buildDefault(app)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
@@ -94,7 +94,7 @@ func TestFastTierDeterministic(t *testing.T) {
 	for _, app := range Applications() {
 		app := app
 		t.Run(app.Key, func(t *testing.T) {
-			b, err := BuildApp(app)
+			b, err := buildDefault(app)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}

@@ -180,7 +180,7 @@ func Figure6() (*Figure6Result, string, error) {
 // Figure7 synthesizes the receiver and renders its signal-flow graph and
 // circuit structure (the paper's Figures 7a and 7b).
 func Figure7() (string, error) {
-	b, err := BuildApp(ByKey("receiver"))
+	b, err := buildReceiver()
 	if err != nil {
 		return "", err
 	}
@@ -213,26 +213,13 @@ type SpiceConfig struct {
 	Budget mna.ErrorBudget
 }
 
-// Figure8 reproduces the receiver simulation: the synthesized netlist is
+// Figure8 reproduces the receiver simulation on the solver tier cfg
+// selects (the zero value is the exact engine): the synthesized netlist is
 // elaborated into a 2-stage op-amp macromodel circuit and driven with a
 // deliberately high-amplitude 1 kHz input so the signal-limiting capability
 // of the output stage is visible. The paper's v(9) clips at 1.5 V.
-func Figure8() (*Figure8Result, string, error) {
-	return Figure8With(SpiceConfig{})
-}
-
-// Figure8With is Figure8 on an explicit solver tier — the benchmark and CI
-// entry point for comparing the exact and fast engines on the same circuit.
-func Figure8With(cfg SpiceConfig) (*Figure8Result, string, error) {
-	b, err := BuildApp(ByKey("receiver"))
-	if err != nil {
-		return nil, "", err
-	}
-	lineIn := func(t float64) float64 { return 1.5 * math.Sin(2*math.Pi*1e3*t) }
-	el, err := mna.Elaborate(b.Result.Netlist, map[string]mna.Waveform{
-		"line":  lineIn,
-		"local": func(float64) float64 { return 0 },
-	})
+func Figure8(cfg SpiceConfig) (*Figure8Result, string, error) {
+	el, err := figure8Circuit()
 	if err != nil {
 		return nil, "", err
 	}
@@ -274,7 +261,7 @@ func Figure8With(cfg SpiceConfig) (*Figure8Result, string, error) {
 
 // Figure8Behavioral runs the same experiment on the behavioral simulator.
 func Figure8Behavioral() (*sim.Trace, error) {
-	b, err := BuildApp(ByKey("receiver"))
+	b, err := buildReceiver()
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,7 @@ func TestFigure7(t *testing.T) {
 }
 
 func TestFigure8(t *testing.T) {
-	r, text, err := Figure8()
+	r, text, err := Figure8(SpiceConfig{})
 	if err != nil {
 		t.Fatalf("figure 8: %v", err)
 	}

@@ -16,7 +16,7 @@ func TestGoldenVHIF(t *testing.T) {
 	for _, app := range Applications() {
 		app := app
 		t.Run(app.Key, func(t *testing.T) {
-			b, err := BuildApp(app)
+			b, err := buildDefault(app)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
@@ -47,7 +47,7 @@ func TestGoldenNetlists(t *testing.T) {
 	for _, app := range Applications() {
 		app := app
 		t.Run(app.Key, func(t *testing.T) {
-			b, err := BuildApp(app)
+			b, err := buildDefault(app)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}

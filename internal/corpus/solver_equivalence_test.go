@@ -189,7 +189,7 @@ func TestSolverEquivalenceAllApps(t *testing.T) {
 	for _, app := range Applications() {
 		app := app
 		t.Run(app.Key, func(t *testing.T) {
-			b, err := BuildApp(app)
+			b, err := buildDefault(app)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}

@@ -14,9 +14,9 @@ import (
 
 func buildTable(t *testing.T, p *pipeline.Pipeline) ([]*corpus.Build, string) {
 	t.Helper()
-	builds, err := corpus.BuildAllIn(context.Background(), p, mapper.DefaultOptions())
+	builds, err := corpus.BuildAll(context.Background(), p, mapper.DefaultOptions())
 	if err != nil {
-		t.Fatalf("BuildAllIn: %v", err)
+		t.Fatalf("BuildAll: %v", err)
 	}
 	return builds, corpus.Table1(builds)
 }

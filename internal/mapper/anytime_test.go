@@ -66,7 +66,7 @@ func TestDeadlinedBuildReturnsIncumbent(t *testing.T) {
 	cancel()
 	opts := mapper.DefaultOptions()
 	opts.Deadline = 10 * time.Millisecond
-	b, err := corpus.BuildAppContext(ctx, corpus.ByKey("receiver"), opts)
+	b, err := corpus.BuildApp(ctx, nil, corpus.ByKey("receiver"), opts)
 	if err != nil {
 		t.Fatalf("deadlined build failed instead of returning incumbent: %v", err)
 	}

@@ -43,7 +43,6 @@ func keyOf(parts ...string) Key {
 // Key-domain tags. The version suffix is bumped when a stage's output
 // format or semantics change, invalidating older artifacts.
 const (
-	parseDomain    = "vase/parse/v1"
 	recoverDomain  = "vase/parse-recover/v1"
 	semaDomain     = "vase/sema/v1"
 	unitDomain     = "vase/sema-unit/v1"

@@ -11,18 +11,15 @@ import (
 	"vase/internal/wavespec"
 )
 
-// SpiceData is the memoized output of the spice stage: the raw samples of
+// spiceData is the memoized output of the spice stage: the raw samples of
 // a circuit-level transient analysis, deliberately circuit-independent so
 // a disk hit can be rehydrated into any equivalent elaboration via
 // mna.(*Circuit).TranFromSamples. Node waveforms are keyed by external
 // node number (the map key of mna.Tran.V).
-type SpiceData struct {
+type spiceData struct {
 	Time      []float64
 	V         map[int][]float64
 	Truncated bool
-	// Cached reports that this call was served from the cache (memory or
-	// disk) rather than by running the solver.
-	Cached bool
 }
 
 // SpiceOptions configures one spice-stage run. Solver and Budget are part
@@ -33,45 +30,59 @@ type SpiceOptions struct {
 	Workers int
 }
 
-// Spice runs (or reuses) a circuit-level transient simulation: decode the
-// netlist artifact, elaborate the op-amp macromodel circuit, integrate.
-// The inputs are textual waveform specs (wavespec grammar) — functions are
-// not content-addressable, their specs are. Truncated results (a cancelled
-// or deadlined context stopped the integration early) are returned but
-// never cached: a partial trace documents one interrupted run, not the
-// analysis the key names. The exact tiers are byte-deterministic and the
-// fast tier is deterministic under its keyed budget (the corpus and
-// campaign determinism suites pin this), which is what makes the stage
-// cacheable at all.
-func (p *Pipeline) Spice(ctx context.Context, netlistData string, inputs map[string]string, tstop, tstep float64, opts SpiceOptions) (*SpiceData, error) {
-	key := SpiceKey(netlistData, inputs, tstop, tstep, opts.Solver, opts.Budget)
+// SpiceResult is a circuit-level transient of one netlist: a fresh
+// elaboration of its op-amp macromodel circuit with the trace bound to it,
+// so named-port lookups (Elab.V) work alike on computed and cached runs.
+type SpiceResult struct {
+	Elab *mna.Elaborated
+	Tran *mna.Tran
+	// Cached reports that the samples were served from the cache (memory
+	// or disk) rather than by running the solver.
+	Cached bool
+}
+
+// Spice runs (or reuses) a circuit-level transient simulation of a
+// netlist. The inputs are textual waveform specs (wavespec grammar) —
+// functions are not content-addressable, their specs are. The samples are
+// memoized under SpiceKey over the encoded netlist; on a hit the solver
+// never runs, and the samples are rehydrated onto a fresh elaboration.
+// Truncated results (a cancelled or deadlined context stopped the
+// integration early) are returned but never cached: a partial trace
+// documents one interrupted run, not the analysis the key names. The exact
+// tiers are byte-deterministic and the fast tier is deterministic under
+// its keyed budget (the corpus and campaign determinism suites pin this),
+// which is what makes the stage cacheable at all. A netlist that cannot be
+// encoded cannot be content-addressed either; it is simulated directly,
+// uncached, rather than failed.
+func (p *Pipeline) Spice(ctx context.Context, nl *netlist.Netlist, inputs map[string]string, tstop, tstep float64, opts SpiceOptions) (*SpiceResult, error) {
+	sources, err := wavespec.ParseMap(inputs)
+	if err != nil {
+		return nil, err
+	}
+	waves := make(map[string]mna.Waveform, len(sources))
+	for name, s := range sources { //vase:unordered (map-to-map copy)
+		waves[name] = mna.Waveform(s)
+	}
+	data, err := nl.Encode()
+	if err != nil {
+		el, tr, err := Transient(ctx, nl, waves, tstop, tstep, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &SpiceResult{Elab: el, Tran: tr}, nil
+	}
+	key := SpiceKey(data, inputs, tstop, tstep, opts.Solver, opts.Budget)
 	v, src, err := p.memo(ctx, StageSpice, key, spiceCodec,
 		func(ctx context.Context) (any, bool, error) {
-			nl, err := netlist.Decode(netlistData)
+			dnl, err := netlist.Decode(data)
 			if err != nil {
 				return nil, false, fmt.Errorf("pipeline: spice netlist artifact: %w", err)
 			}
-			sources, err := wavespec.ParseMap(inputs)
+			_, tr, err := Transient(ctx, dnl, waves, tstop, tstep, opts)
 			if err != nil {
 				return nil, false, err
 			}
-			waves := make(map[string]mna.Waveform, len(sources))
-			for name, s := range sources { //vase:unordered (map-to-map copy)
-				waves[name] = mna.Waveform(s)
-			}
-			el, err := mna.Elaborate(nl, waves)
-			if err != nil {
-				return nil, false, err
-			}
-			c := el.Circuit
-			c.Solver = opts.Solver
-			c.Budget = opts.Budget
-			c.Workers = opts.Workers
-			tr, err := c.TransientContext(ctx, tstop, tstep)
-			if err != nil {
-				return nil, false, err
-			}
-			sd := &SpiceData{Time: tr.Time, V: make(map[int][]float64, len(tr.V)), Truncated: tr.Truncated}
+			sd := &spiceData{Time: tr.Time, V: make(map[int][]float64, len(tr.V)), Truncated: tr.Truncated}
 			for n, w := range tr.V { //vase:unordered (map-to-map copy)
 				sd.V[int(n)] = w
 			}
@@ -80,21 +91,49 @@ func (p *Pipeline) Spice(ctx context.Context, netlistData string, inputs map[str
 	if err != nil {
 		return nil, err
 	}
-	sd := *v.(*SpiceData)
-	sd.Cached = src.cached()
-	return &sd, nil
+	sd := v.(*spiceData)
+	el, err := mna.Elaborate(nl, waves)
+	if err != nil {
+		return nil, err
+	}
+	samples := make(map[mna.Node][]float64, len(sd.V))
+	for n, w := range sd.V { //vase:unordered (map-to-map copy)
+		samples[mna.Node(n)] = w
+	}
+	tr := el.Circuit.TranFromSamples(sd.Time, samples, sd.Truncated)
+	return &SpiceResult{Elab: el, Tran: tr, Cached: src.cached()}, nil
+}
+
+// Transient elaborates the netlist's op-amp macromodel circuit and
+// integrates it, uncached, on the solver tier opts selects. A cancelled or
+// deadlined context returns the samples computed so far with
+// Tran.Truncated set.
+func Transient(ctx context.Context, nl *netlist.Netlist, waves map[string]mna.Waveform, tstop, tstep float64, opts SpiceOptions) (*mna.Elaborated, *mna.Tran, error) {
+	el, err := mna.Elaborate(nl, waves)
+	if err != nil {
+		return nil, nil, err
+	}
+	c := el.Circuit
+	c.Solver = opts.Solver
+	c.Budget = opts.Budget
+	c.Workers = opts.Workers
+	tr, err := c.TransientContext(ctx, tstop, tstep)
+	if err != nil {
+		return nil, nil, err
+	}
+	return el, tr, nil
 }
 
 // spiceHeader identifies (and versions) the on-disk spice artifact.
 const spiceHeader = "vase-spice v1"
 
-// spiceCodec serializes a SpiceData with hex-exact floats, so a disk
+// spiceCodec serializes a spiceData with hex-exact floats, so a disk
 // round-trip preserves every sample bit for bit — the same determinism
 // contract the in-memory cache provides. Truncated traces refuse to
 // encode; the stage never marks them cacheable in the first place.
 var spiceCodec = &codec{
 	encode: func(v any) ([]byte, error) {
-		sd := v.(*SpiceData)
+		sd := v.(*spiceData)
 		if sd.Truncated {
 			return nil, fmt.Errorf("pipeline: truncated spice trace is not cacheable")
 		}
@@ -149,7 +188,7 @@ var spiceCodec = &codec{
 			}
 			return w, nil
 		}
-		sd := &SpiceData{V: make(map[int][]float64, nodes)}
+		sd := &spiceData{V: make(map[int][]float64, nodes)}
 		tf := strings.Fields(lines[2])
 		if len(tf) == 0 || tf[0] != "time" {
 			return nil, fmt.Errorf("pipeline: spice artifact missing time row")

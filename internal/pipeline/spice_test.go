@@ -7,24 +7,21 @@ import (
 
 	"vase/internal/mapper"
 	"vase/internal/mna"
+	"vase/internal/netlist"
 )
 
-// spiceFixture synthesizes the mixer and returns its encoded netlist plus
-// a waveform binding for its input ports.
-func spiceFixture(t *testing.T, p *Pipeline) (string, map[string]string) {
+// spiceFixture synthesizes the mixer and returns its netlist plus a
+// waveform binding for its input ports.
+func spiceFixture(t *testing.T, p *Pipeline) (*netlist.Netlist, map[string]string) {
 	t.Helper()
 	res, _, _, err := p.Synthesize(context.Background(), "mixer.vhd", mixerSrc, mapper.DefaultOptions())
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
-	data, err := res.Netlist.Encode()
-	if err != nil {
-		t.Fatalf("encode netlist: %v", err)
-	}
-	return data, map[string]string{"a": "sine:0.5,1000", "b": "dc:0.2"}
+	return res.Netlist, map[string]string{"a": "sine:0.5,1000", "b": "dc:0.2"}
 }
 
-func sameSpiceData(t *testing.T, label string, a, b *SpiceData) {
+func sameTran(t *testing.T, label string, a, b *mna.Tran) {
 	t.Helper()
 	if len(a.Time) != len(b.Time) || len(a.V) != len(b.V) || a.Truncated != b.Truncated {
 		t.Fatalf("%s: shape mismatch: %d/%d/%v vs %d/%d/%v", label,
@@ -52,25 +49,25 @@ func sameSpiceData(t *testing.T, label string, a, b *SpiceData) {
 func TestSpiceMemoized(t *testing.T) {
 	p := newPipe(t, Options{})
 	ctx := context.Background()
-	data, inputs := spiceFixture(t, p)
-	first, err := p.Spice(ctx, data, inputs, 1e-3, 1e-6, SpiceOptions{})
+	nl, inputs := spiceFixture(t, p)
+	first, err := p.Spice(ctx, nl, inputs, 1e-3, 1e-6, SpiceOptions{})
 	if err != nil {
 		t.Fatalf("spice: %v", err)
 	}
 	if first.Cached {
 		t.Error("first run reported Cached")
 	}
-	if len(first.Time) < 1001 {
-		t.Errorf("trace has %d samples, want the full 1ms window", len(first.Time))
+	if len(first.Tran.Time) < 1001 {
+		t.Errorf("trace has %d samples, want the full 1ms window", len(first.Tran.Time))
 	}
-	again, err := p.Spice(ctx, data, inputs, 1e-3, 1e-6, SpiceOptions{})
+	again, err := p.Spice(ctx, nl, inputs, 1e-3, 1e-6, SpiceOptions{})
 	if err != nil {
 		t.Fatalf("spice rerun: %v", err)
 	}
 	if !again.Cached {
 		t.Error("identical rerun was not a cache hit")
 	}
-	sameSpiceData(t, "memory hit", first, again)
+	sameTran(t, "memory hit", first.Tran, again.Tran)
 	if st := p.Stats().Stage(StageSpice); st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("spice stage counters = %+v, want 1 miss and 1 memory hit", st)
 	}
@@ -124,13 +121,13 @@ func TestSpiceDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	a := newPipe(t, Options{CacheDir: dir})
-	data, inputs := spiceFixture(t, a)
-	cold, err := a.Spice(ctx, data, inputs, 1e-3, 1e-6, SpiceOptions{Solver: mna.SolverFast})
+	nl, inputs := spiceFixture(t, a)
+	cold, err := a.Spice(ctx, nl, inputs, 1e-3, 1e-6, SpiceOptions{Solver: mna.SolverFast})
 	if err != nil {
 		t.Fatalf("cold spice: %v", err)
 	}
 	b := newPipe(t, Options{CacheDir: dir})
-	warm, err := b.Spice(ctx, data, inputs, 1e-3, 1e-6, SpiceOptions{Solver: mna.SolverFast})
+	warm, err := b.Spice(ctx, nl, inputs, 1e-3, 1e-6, SpiceOptions{Solver: mna.SolverFast})
 	if err != nil {
 		t.Fatalf("warm spice: %v", err)
 	}
@@ -140,5 +137,41 @@ func TestSpiceDiskRoundTrip(t *testing.T) {
 	if st := b.Stats().Stage(StageSpice); st.DiskHits != 1 {
 		t.Errorf("spice stage counters = %+v, want 1 disk hit", st)
 	}
-	sameSpiceData(t, "disk round-trip", cold, warm)
+	sameTran(t, "disk round-trip", cold.Tran, warm.Tran)
+}
+
+// TestSpiceUnencodableNetlist pins the stage's fallback: a netlist that
+// cannot be encoded cannot be content-addressed, so it is simulated
+// directly — uncached, never failed — and its trace is the one the
+// memoized path produces for the equivalent encodable netlist.
+func TestSpiceUnencodableNetlist(t *testing.T) {
+	p := newPipe(t, Options{})
+	ctx := context.Background()
+	nl, inputs := spiceFixture(t, p)
+	memoized, err := p.Spice(ctx, nl, inputs, 1e-3, 1e-6, SpiceOptions{})
+	if err != nil {
+		t.Fatalf("spice: %v", err)
+	}
+	odd := *nl
+	odd.Name = "mixer copy" // whitespace: not encodable
+	if _, err := odd.Encode(); err == nil {
+		t.Fatal("fixture netlist with a space in its name encoded")
+	}
+	before := p.Stats().Stage(StageSpice)
+	for i := 0; i < 2; i++ {
+		direct, err := p.Spice(ctx, &odd, inputs, 1e-3, 1e-6, SpiceOptions{})
+		if err != nil {
+			t.Fatalf("unencodable netlist failed instead of simulating directly: %v", err)
+		}
+		if direct.Cached {
+			t.Error("unencodable netlist reported a cache hit")
+		}
+		sameTran(t, "direct vs memoized", memoized.Tran, direct.Tran)
+		if got, want := direct.Elab.V(direct.Tran, "y"), memoized.Elab.V(memoized.Tran, "y"); len(got) != len(want) {
+			t.Fatalf("port y: %d samples, want %d", len(got), len(want))
+		}
+	}
+	if after := p.Stats().Stage(StageSpice); after != before {
+		t.Errorf("uncached runs moved the spice stage counters: %+v -> %+v", before, after)
+	}
 }

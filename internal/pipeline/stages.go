@@ -23,10 +23,10 @@ import (
 // compile artifact so a disk-cache hit (which skips parsing and analysis)
 // still reports them.
 type FrontStats struct {
-	ContinuousLines int
-	Quantities      int
-	EventLines      int
-	Signals         int
+	ContinuousLines int `json:"continuous_lines"`
+	Quantities      int `json:"quantities"`
+	EventLines      int `json:"event_lines"`
+	Signals         int `json:"signals"`
 }
 
 // CompileResult is the output of the front-end stages: the VHIF module, its
@@ -99,20 +99,20 @@ func (p *Pipeline) ParseRecover(ctx context.Context, name, text string) (*ParseR
 	return &pr, nil
 }
 
-// Parse runs (or reuses) the parse stage for one named source text.
+// Parse is the strict view of ParseRecover: the recovered tree when the
+// source has no error diagnostics, else the sorted, de-duplicated
+// diagnostics as the error (what parser.Parse returns). Both views share
+// one memo entry, so a broken source is parsed once however many callers
+// ask.
 func (p *Pipeline) Parse(ctx context.Context, name, text string) (*ast.DesignFile, error) {
-	v, _, err := p.memo(ctx, StageParse, keyOf(parseDomain, name, text), nil,
-		func(ctx context.Context) (any, bool, error) {
-			df, err := parser.Parse(name, text)
-			if err != nil {
-				return nil, false, err
-			}
-			return df, ctx.Err() == nil, nil
-		})
+	pr, err := p.ParseRecover(ctx, name, text)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*ast.DesignFile), nil
+	if err := pr.Diags.Err(); err != nil {
+		return nil, err
+	}
+	return pr.AST, nil
 }
 
 // Analyze runs (or reuses) the parse and sema stages for one named source

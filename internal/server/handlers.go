@@ -16,15 +16,6 @@ import (
 	"vase/internal/wavespec"
 )
 
-// frontStatsJSON is the Table 1 front-end metrics block shared by the parse
-// and synthesize responses.
-type frontStatsJSON struct {
-	ContinuousLines int `json:"continuous_lines"`
-	Quantities      int `json:"quantities"`
-	EventLines      int `json:"event_lines"`
-	Signals         int `json:"signals"`
-}
-
 // ctxError classifies a pipeline error: a context deadline/cancellation
 // becomes 504 (the request's SLO expired before an answer existed), a
 // diagnostics list becomes 422 with the structured findings attached, and
@@ -53,10 +44,10 @@ type parseRequest struct {
 }
 
 type parseResponse struct {
-	Entity string         `json:"entity"`
-	VHIF   string         `json:"vhif"`
-	Stats  frontStatsJSON `json:"stats"`
-	Cached bool           `json:"cached"`
+	Entity string              `json:"entity"`
+	VHIF   string              `json:"vhif"`
+	Stats  pipeline.FrontStats `json:"stats"`
+	Cached bool                `json:"cached"`
 }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) *httpError {
@@ -83,12 +74,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) *httpError 
 	s.reply(w, "parse", http.StatusOK, parseResponse{
 		Entity: cr.Name,
 		VHIF:   cr.Text,
-		Stats: frontStatsJSON{
-			ContinuousLines: cr.Stats.ContinuousLines,
-			Quantities:      cr.Stats.Quantities,
-			EventLines:      cr.Stats.EventLines,
-			Signals:         cr.Stats.Signals,
-		},
+		Stats:  cr.Stats,
 		Cached: cr.Cached,
 	})
 	return nil
@@ -187,16 +173,16 @@ type searchStatsJSON struct {
 }
 
 type synthesizeResponse struct {
-	Entity   string          `json:"entity"`
-	Netlist  string          `json:"netlist"`
-	Summary  string          `json:"summary"`
-	OpAmps   int             `json:"op_amps"`
-	AreaUm2  float64         `json:"area_um2"`
-	PowerMW  float64         `json:"power_mw"`
-	Stats    searchStatsJSON `json:"search"`
-	Front    frontStatsJSON  `json:"stats"`
-	Cached   bool            `json:"cached"`
-	Degraded bool            `json:"degraded"`
+	Entity   string              `json:"entity"`
+	Netlist  string              `json:"netlist"`
+	Summary  string              `json:"summary"`
+	OpAmps   int                 `json:"op_amps"`
+	AreaUm2  float64             `json:"area_um2"`
+	PowerMW  float64             `json:"power_mw"`
+	Stats    searchStatsJSON     `json:"search"`
+	Front    pipeline.FrontStats `json:"stats"`
+	Cached   bool                `json:"cached"`
+	Degraded bool                `json:"degraded"`
 }
 
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) *httpError {
@@ -248,12 +234,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) *httpE
 			Workers:          res.Stats.Workers,
 			ElapsedUS:        res.Stats.Elapsed.Microseconds(),
 		},
-		Front: frontStatsJSON{
-			ContinuousLines: cr.Stats.ContinuousLines,
-			Quantities:      cr.Stats.Quantities,
-			EventLines:      cr.Stats.EventLines,
-			Signals:         cr.Stats.Signals,
-		},
+		Front:    cr.Stats,
 		Cached:   cached,
 		Degraded: res.Nonoptimal,
 	})
@@ -360,16 +341,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) *httpErr
 		status = http.StatusPartialContent
 		s.met.degraded.Add(1)
 	}
-	resp := simulateResponse{Truncated: tr.Truncated, Signals: map[string][]float64{}}
-	for i := 0; i < len(tr.Time); i += req.Every {
-		resp.Time = append(resp.Time, tr.Time[i])
-	}
+	resp := simulateResponse{Time: decimate(tr.Time, req.Every), Truncated: tr.Truncated, Signals: map[string][]float64{}}
 	for name, samples := range tr.Signals {
-		var out []float64
-		for i := 0; i < len(samples); i += req.Every {
-			out = append(out, samples[i])
-		}
-		resp.Signals[name] = out
+		resp.Signals[name] = decimate(samples, req.Every)
 	}
 	s.reply(w, "simulate", status, resp)
 	return nil
@@ -390,58 +364,35 @@ func (s *Server) handleSimulateCircuit(ctx context.Context, w http.ResponseWrite
 	if err != nil {
 		return ctxError(ctx, err)
 	}
-	data, err := res.Netlist.Encode()
-	if err != nil {
-		return errorf(http.StatusInternalServerError, "netlist artifact: %v", err)
-	}
-	budget := mna.ErrorBudget{RelTol: req.RelTol, AbsTol: req.AbsTol}
-	sd, err := s.pipe.Spice(ctx, data, req.Inputs, req.TStop, req.TStep, pipeline.SpiceOptions{
+	sr, err := s.pipe.Spice(ctx, res.Netlist, req.Inputs, req.TStop, req.TStep, pipeline.SpiceOptions{
 		Solver: tier,
-		Budget: budget,
+		Budget: mna.ErrorBudget{RelTol: req.RelTol, AbsTol: req.AbsTol},
 	})
 	if err != nil {
 		return ctxError(ctx, err)
 	}
-	// Re-elaborate for name resolution only: NodeOf/PolOf map netlist net
-	// names onto circuit nodes, and the stored samples rehydrate onto the
-	// fresh circuit.
-	sources, err := wavespec.ParseMap(req.Inputs)
-	if err != nil {
-		return errorf(http.StatusBadRequest, "%v", err)
-	}
-	waves := make(map[string]mna.Waveform, len(sources))
-	for name, src := range sources {
-		waves[name] = mna.Waveform(src)
-	}
-	el, err := mna.Elaborate(res.Netlist, waves)
-	if err != nil {
-		return ctxError(ctx, err)
-	}
-	v := make(map[mna.Node][]float64, len(sd.V))
-	for n, samples := range sd.V {
-		v[mna.Node(n)] = samples
-	}
-	tr := el.Circuit.TranFromSamples(sd.Time, v, sd.Truncated)
+	tr := sr.Tran
 	status := http.StatusOK
-	if sd.Truncated {
+	if tr.Truncated {
 		status = http.StatusPartialContent
 		s.met.degraded.Add(1)
 	}
-	resp := simulateResponse{Truncated: sd.Truncated, Signals: map[string][]float64{}}
-	for i := 0; i < len(sd.Time); i += req.Every {
-		resp.Time = append(resp.Time, sd.Time[i])
-	}
+	resp := simulateResponse{Time: decimate(tr.Time, req.Every), Truncated: tr.Truncated, Signals: map[string][]float64{}}
 	for _, p := range cr.Module.Ports {
-		samples := el.V(tr, p.Name)
-		if samples == nil {
-			continue
+		if samples := sr.Elab.V(tr, p.Name); samples != nil {
+			resp.Signals[p.Name] = decimate(samples, req.Every)
 		}
-		var out []float64
-		for i := 0; i < len(samples); i += req.Every {
-			out = append(out, samples[i])
-		}
-		resp.Signals[p.Name] = out
 	}
 	s.reply(w, "simulate", status, resp)
 	return nil
+}
+
+// decimate keeps every n-th sample, starting with the first; no samples
+// give nil, which the JSON body encodes as null.
+func decimate(samples []float64, n int) []float64 {
+	var out []float64
+	for i := 0; i < len(samples); i += n {
+		out = append(out, samples[i])
+	}
+	return out
 }

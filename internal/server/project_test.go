@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
+
+	"vase/internal/pipeline"
 )
 
 func TestProjectDiagnosticsEndpoint(t *testing.T) {
@@ -102,6 +106,39 @@ func TestParsePartialASTSummary(t *testing.T) {
 	}
 	if sum["partial"] != true || sum["error_nodes"].(float64) == 0 {
 		t.Fatalf("partial_ast = %v, want partial with error nodes", sum)
+	}
+}
+
+// TestParseFailureParsesOnce: a broken source on /v1/parse is parsed once.
+// The strict parse behind compilation and the partial-AST summary are two
+// views of one memoized recovering parse, so the summary is a cache hit and
+// the parse stage shows exactly one computation, not a failed strict parse
+// plus a recovering one.
+func TestParseFailureParsesOnce(t *testing.T) {
+	p, err := pipeline.New(pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Pipeline: p})
+	broken := strings.Replace(mixerSrc, "3.0 * a + 2.0 * b;", "3.0 * a + ;", 1)
+	rec, _ := post(t, s, "/v1/parse", map[string]any{"name": "mixer.vhd", "source": broken})
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422; body %s", rec.Code, rec.Body)
+	}
+	if st := p.Stats().Stage(pipeline.StageParse); st.Misses+st.Errors != 1 {
+		t.Errorf("parse stage = %d misses + %d errors, want one parse in all", st.Misses, st.Errors)
+	}
+	var body map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	var sum bytes.Buffer
+	if err := json.Compact(&sum, body["partial_ast"]); err != nil {
+		t.Fatalf("partial_ast %q: %v", body["partial_ast"], err)
+	}
+	const want = `{"units":2,"entities":1,"architectures":1,"error_nodes":1,"partial":true}`
+	if sum.String() != want {
+		t.Errorf("partial_ast = %s, want %s", sum.String(), want)
 	}
 }
 

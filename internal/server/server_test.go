@@ -147,6 +147,31 @@ func TestSynthesizeEndpoint(t *testing.T) {
 	}
 }
 
+// TestFrontStatsObject pins the Table 1 front-end metrics object that
+// /v1/parse and /v1/synthesize return under "stats": field names, order
+// and values, byte for byte once compacted.
+func TestFrontStatsObject(t *testing.T) {
+	s := newTestServer(t, Config{})
+	const want = `{"continuous_lines":1,"quantities":3,"event_lines":0,"signals":0}`
+	for _, path := range []string{"/v1/parse", "/v1/synthesize"} {
+		rec, _ := post(t, s, path, map[string]any{"name": "mixer.vhd", "source": mixerSrc})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", path, rec.Code, rec.Body)
+		}
+		var body map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		var stats bytes.Buffer
+		if err := json.Compact(&stats, body["stats"]); err != nil {
+			t.Fatalf("%s: stats %q: %v", path, body["stats"], err)
+		}
+		if stats.String() != want {
+			t.Errorf("%s: stats = %s, want %s", path, stats.String(), want)
+		}
+	}
+}
+
 // TestSynthesizeConcurrentSharedCache is the tentpole acceptance test:
 // concurrent synthesize requests with identical and distinct keys through
 // one server compute each distinct key exactly once and return

@@ -13,6 +13,7 @@ package wavespec
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -67,11 +68,17 @@ func Parse(spec string) (sim.Source, error) {
 }
 
 // ParseMap parses a name->spec map (a JSON request's "inputs" object) into
-// named simulation sources.
+// named simulation sources. Names are visited in sorted order, so when
+// several specs are malformed the error always names the first of them.
 func ParseMap(specs map[string]string) (map[string]sim.Source, error) {
+	names := make([]string, 0, len(specs))
+	for name := range specs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	out := make(map[string]sim.Source, len(specs))
-	for name, spec := range specs {
-		w, err := Parse(spec)
+	for _, name := range names {
+		w, err := Parse(specs[name])
 		if err != nil {
 			return nil, fmt.Errorf("input %q: %w", name, err)
 		}

@@ -64,3 +64,21 @@ func TestParseMap(t *testing.T) {
 		t.Error("ParseMap with a bad spec succeeded, want error naming the input")
 	}
 }
+
+// TestParseMapErrorDeterministic pins which input a multi-error map
+// reports: the first bad one in sorted name order, on every call. Map
+// iteration order is randomized, so an unordered walk names a different
+// input from run to run and the error body of a /v1/simulate 400 drifts.
+func TestParseMapErrorDeterministic(t *testing.T) {
+	specs := map[string]string{"c": "bogus:3", "a": "dc:x", "b": "sine:1", "d": "dc:1"}
+	const want = `input "a": waveform parameter "x": strconv.ParseFloat: parsing "x": invalid syntax`
+	for i := 0; i < 200; i++ {
+		_, err := ParseMap(specs)
+		if err == nil {
+			t.Fatal("ParseMap with bad specs succeeded")
+		}
+		if err.Error() != want {
+			t.Fatalf("call %d: error %q, want %q", i, err, want)
+		}
+	}
+}

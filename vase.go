@@ -14,15 +14,18 @@
 //     components, guided by an analog performance estimator.
 //
 // Synthesized designs can be verified by behavioral transient simulation
-// (Simulate/SimulateNetlist) and by circuit-level simulation of op-amp
-// macromodel expansions (Spice), reproducing the paper's receiver
+// (Design.Simulate, Architecture.Simulate) and by circuit-level simulation
+// of op-amp macromodel expansions (Spice), reproducing the paper's receiver
 // experiment end to end.
 //
-// A minimal session:
+// Every operation has one call form: a context first and, for the
+// pipeline-backed ones, a *Pipeline second, where nil means
+// DefaultPipeline(). A minimal session:
 //
-//	design, err := vase.Compile(vase.Source{Name: "amp.vhd", Text: src})
+//	ctx := context.Background()
+//	design, err := vase.Compile(ctx, nil, vase.Source{Name: "amp.vhd", Text: src})
 //	...
-//	arch, err := design.Synthesize()
+//	arch, err := design.Synthesize(ctx, vase.DefaultSynthesisOptions())
 //	fmt.Println(arch.Netlist.Summary(), arch.Report.AreaUm2)
 package vase
 
@@ -106,6 +109,14 @@ func NewPipeline(opts PipelineOptions) (*Pipeline, error) { return pipeline.New(
 // Synthesize and the benchmark harness when no explicit pipeline is given.
 func DefaultPipeline() *Pipeline { return pipeline.Default() }
 
+// orDefault resolves the nil *Pipeline of the facade's call forms.
+func orDefault(p *Pipeline) *Pipeline {
+	if p == nil {
+		return pipeline.Default()
+	}
+	return p
+}
+
 // RenderDiagnostics formats a Compile error with source excerpts and caret
 // markers when the error carries positions; other errors format plainly.
 func RenderDiagnostics(err error, src Source) string {
@@ -129,23 +140,13 @@ func RenderDiagnostics(err error, src Source) string {
 }
 
 // Compile parses, analyzes and compiles a VASS source into its primary VHIF
-// representation, through the process-wide pipeline: recompilations of an
-// unchanged source are served from cache.
-func Compile(src Source) (*Design, error) {
-	return CompileContext(context.Background(), src)
-}
-
-// CompileContext is Compile with cancellation: the context is checked
-// between front-end stages (parse, analyze, compile, validate), so a
-// deadlined compilation returns promptly with the context's error.
-// Cancelled compilations are never cached.
-func CompileContext(ctx context.Context, src Source) (*Design, error) {
-	return CompileVia(ctx, pipeline.Default(), src)
-}
-
-// CompileVia is CompileContext through an explicit pipeline (for example
-// one with an on-disk cache, or an isolated one for tests).
-func CompileVia(ctx context.Context, p *Pipeline, src Source) (*Design, error) {
+// representation through p (nil = DefaultPipeline()), so recompilations of
+// an unchanged source are served from cache. The context is checked
+// between front-end stages (parse, analyze, compile, validate): a deadlined
+// compilation returns promptly with the context's error, and is never
+// cached.
+func Compile(ctx context.Context, p *Pipeline, src Source) (*Design, error) {
+	p = orDefault(p)
 	cr, err := p.Compile(ctx, src.Name, src.Text)
 	if err != nil {
 		return nil, err
@@ -186,13 +187,8 @@ const (
 
 // Ranges runs (or reuses) the value-range analysis for the design through
 // the pipeline that compiled it.
-func (d *Design) Ranges() (*RangeAnalysis, error) {
-	return d.RangesContext(context.Background())
-}
-
-// RangesContext is Ranges with cancellation.
-func (d *Design) RangesContext(ctx context.Context) (*RangeAnalysis, error) {
-	return d.pipe.RangesText(ctx, d.VHIF, d.text)
+func (d *Design) Ranges(ctx context.Context) (*RangeAnalysis, error) {
+	return orDefault(d.pipe).RangesText(ctx, d.VHIF, d.text)
 }
 
 // LintOptions configures a lint run (pass selection).
@@ -208,40 +204,22 @@ const (
 	SeverityError   = diag.Error
 )
 
-// Lint runs the synthesizability linter over a VASS source: the full front
-// end plus every analyzer (unused objects, FSM liveness, algebraic loops,
-// dimension consistency, division hazards, range checks, annotation
-// validation, subset conformance). Front-end errors are folded into the
-// returned list; the error return is reserved for driver misuse such as an
-// unknown pass name.
-func Lint(src Source, opts LintOptions) (Diagnostics, error) {
-	return LintContext(context.Background(), src, opts)
+// Lint runs the synthesizability linter over a VASS source through p (nil =
+// DefaultPipeline()): the full front end plus every analyzer (unused
+// objects, FSM liveness, algebraic loops, dimension consistency, division
+// hazards, range checks, annotation validation, subset conformance), with
+// the context checked between front-end stages and analyzer passes.
+// Front-end errors are folded into the returned list; the error return is
+// reserved for driver misuse such as an unknown pass name.
+func Lint(ctx context.Context, p *Pipeline, src Source, opts LintOptions) (Diagnostics, error) {
+	return orDefault(p).Lint(ctx, src.Name, src.Text, opts)
 }
 
-// LintContext is Lint with cancellation between front-end stages and
+// LintVHIF runs the module-level analyzers over serialized VHIF text
+// through p (nil = DefaultPipeline()), with the context checked between
 // analyzer passes.
-func LintContext(ctx context.Context, src Source, opts LintOptions) (Diagnostics, error) {
-	return LintVia(ctx, pipeline.Default(), src, opts)
-}
-
-// LintVia is LintContext through an explicit pipeline.
-func LintVia(ctx context.Context, p *Pipeline, src Source, opts LintOptions) (Diagnostics, error) {
-	return p.Lint(ctx, src.Name, src.Text, opts)
-}
-
-// LintVHIF runs the module-level analyzers over serialized VHIF text.
-func LintVHIF(name, text string, opts LintOptions) (Diagnostics, error) {
-	return LintVHIFContext(context.Background(), name, text, opts)
-}
-
-// LintVHIFContext is LintVHIF with cancellation between analyzer passes.
-func LintVHIFContext(ctx context.Context, name, text string, opts LintOptions) (Diagnostics, error) {
-	return LintVHIFVia(ctx, pipeline.Default(), name, text, opts)
-}
-
-// LintVHIFVia is LintVHIFContext through an explicit pipeline.
-func LintVHIFVia(ctx context.Context, p *Pipeline, name, text string, opts LintOptions) (Diagnostics, error) {
-	return p.LintVHIF(ctx, name, text, opts)
+func LintVHIF(ctx context.Context, p *Pipeline, name, text string, opts LintOptions) (Diagnostics, error) {
+	return orDefault(p).LintVHIF(ctx, name, text, opts)
 }
 
 // LintPasses returns the registered analyzers (name and one-line doc), in
@@ -250,10 +228,10 @@ func LintPasses() []*lint.Pass { return lint.Passes() }
 
 // CompileAlternatives compiles up to limit alternative DAE solver
 // topologies (limit <= 0 means all feasible ones). The front end reuses the
-// pipeline's parse and sema stages; the alternatives themselves are not
-// cached.
-func CompileAlternatives(src Source, limit int) ([]*vhif.Module, error) {
-	d, err := pipeline.Default().Analyze(context.Background(), src.Name, src.Text)
+// parse and sema stages of p (nil = DefaultPipeline()) under ctx; the
+// alternatives themselves are not cached.
+func CompileAlternatives(ctx context.Context, p *Pipeline, src Source, limit int) ([]*vhif.Module, error) {
+	d, err := orDefault(p).Analyze(ctx, src.Name, src.Text)
 	if err != nil {
 		return nil, err
 	}
@@ -279,24 +257,14 @@ func (d *Design) Metrics() corpus.Row {
 func ParseVHIF(text string) (*vhif.Module, error) { return vhif.Parse(text) }
 
 // SynthesizeModule runs the architecture generator directly on a VHIF
-// module (for example one read with ParseVHIF).
-func SynthesizeModule(m *vhif.Module, opts SynthesisOptions) (*Architecture, error) {
-	return SynthesizeModuleContext(context.Background(), m, opts)
-}
-
-// SynthesizeModuleContext is SynthesizeModule under a context. Cancellation
-// and Options.Deadline make the branch-and-bound search anytime: instead of
-// failing, it returns the best implementation found so far with
-// Architecture.Nonoptimal set (the result is a valid netlist, just without
-// an optimality proof). Truncated results are never cached.
-func SynthesizeModuleContext(ctx context.Context, m *vhif.Module, opts SynthesisOptions) (*Architecture, error) {
-	return SynthesizeModuleVia(ctx, pipeline.Default(), m, opts)
-}
-
-// SynthesizeModuleVia is SynthesizeModuleContext through an explicit
-// pipeline.
-func SynthesizeModuleVia(ctx context.Context, p *Pipeline, m *vhif.Module, opts SynthesisOptions) (*Architecture, error) {
-	res, cached, err := p.SynthesizeModule(ctx, m, opts)
+// module (for example one read with ParseVHIF) through p (nil =
+// DefaultPipeline()). Cancellation and Options.Deadline make the
+// branch-and-bound search anytime: instead of failing, it returns the best
+// implementation found so far with Architecture.Nonoptimal set (the result
+// is a valid netlist, just without an optimality proof). Truncated results
+// are never cached.
+func SynthesizeModule(ctx context.Context, p *Pipeline, m *vhif.Module, opts SynthesisOptions) (*Architecture, error) {
+	res, cached, err := orDefault(p).SynthesizeModule(ctx, m, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -315,25 +283,19 @@ func newArchitecture(res *mapper.Result, cached bool) *Architecture {
 	}
 }
 
-// Synthesize compiles and synthesizes a VASS source in one call under a
-// context — the anytime entry point. The front end always runs to
-// completion (it is fast, and its output is needed even for a truncated
-// result); the context governs the branch-and-bound search, which on
-// expiry returns its best incumbent with Architecture.Nonoptimal set.
-func Synthesize(ctx context.Context, src Source, opts SynthesisOptions) (*Architecture, error) {
-	return SynthesizeVia(ctx, pipeline.Default(), src, opts)
-}
-
-// SynthesizeVia is Synthesize through an explicit pipeline: both the front
-// end and the architecture generation are memoized there. Only the search
-// runs under ctx — the front end always completes, per the anytime
-// contract.
-func SynthesizeVia(ctx context.Context, p *Pipeline, src Source, opts SynthesisOptions) (*Architecture, error) {
-	d, err := CompileVia(context.Background(), p, src)
+// Synthesize compiles and synthesizes a VASS source in one call through p
+// (nil = DefaultPipeline()), which memoizes both the front end and the
+// architecture generation — the anytime entry point. The front end always
+// runs to completion (it is fast, and its output is needed even for a
+// truncated result); the context governs the branch-and-bound search,
+// which on expiry returns its best incumbent with Architecture.Nonoptimal
+// set.
+func Synthesize(ctx context.Context, p *Pipeline, src Source, opts SynthesisOptions) (*Architecture, error) {
+	d, err := Compile(context.Background(), p, src)
 	if err != nil {
 		return nil, err
 	}
-	return d.SynthesizeContext(ctx, opts)
+	return d.Synthesize(ctx, opts)
 }
 
 // SynthesisOptions re-exports the architecture generator configuration.
@@ -379,34 +341,17 @@ type Architecture struct {
 	SimBudget mna.ErrorBudget
 }
 
-// Synthesize maps the design onto a minimum-area component netlist with the
-// default options.
-func (d *Design) Synthesize() (*Architecture, error) {
-	return d.SynthesizeWith(DefaultSynthesisOptions())
-}
-
-// SynthesizeWith maps the design with explicit options.
-func (d *Design) SynthesizeWith(opts SynthesisOptions) (*Architecture, error) {
-	return d.SynthesizeContext(context.Background(), opts)
-}
-
-// SynthesizeContext maps the design under a context; see
-// SynthesizeModuleContext for the anytime contract. The search runs through
-// the pipeline that compiled the design, so re-synthesizing an unchanged
-// design under unchanged options is a cache hit.
-func (d *Design) SynthesizeContext(ctx context.Context, opts SynthesisOptions) (*Architecture, error) {
-	p := d.pipe
-	if p == nil {
-		p = pipeline.Default()
+// Synthesize maps the design onto a minimum-area component netlist (pass
+// DefaultSynthesisOptions() for the standard configuration); see
+// SynthesizeModule for the anytime contract. The search runs through the
+// pipeline that compiled the design, so re-synthesizing an unchanged design
+// under unchanged options is a cache hit.
+func (d *Design) Synthesize(ctx context.Context, opts SynthesisOptions) (*Architecture, error) {
+	text := d.text
+	if text == "" { // a Design built by hand rather than by Compile
+		text = d.VHIF.Dump()
 	}
-	var res *mapper.Result
-	var cached bool
-	var err error
-	if d.text != "" {
-		res, cached, err = p.SynthesizeText(ctx, d.VHIF, d.text, opts)
-	} else {
-		res, cached, err = p.SynthesizeModule(ctx, d.VHIF, opts)
-	}
+	res, cached, err := orDefault(d.pipe).SynthesizeText(ctx, d.VHIF, text, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -458,27 +403,17 @@ func ParseWaveform(spec string) (Waveform, error) {
 }
 
 // Simulate runs a behavioral transient analysis of the design's VHIF
-// signal-flow graphs.
-func (d *Design) Simulate(inputs map[string]Waveform, opts SimOptions) (*Trace, error) {
-	return sim.SimulateModule(d.VHIF, inputs, opts)
-}
-
-// SimulateContext is Simulate under a context: cancellation (or
-// SimOptions.Deadline / SimOptions.MaxSteps) stops the integration early
-// and returns the partial trace with Trace.Truncated set.
-func (d *Design) SimulateContext(ctx context.Context, inputs map[string]Waveform, opts SimOptions) (*Trace, error) {
+// signal-flow graphs. Cancellation (or SimOptions.Deadline /
+// SimOptions.MaxSteps) stops the integration early and returns the partial
+// trace with Trace.Truncated set.
+func (d *Design) Simulate(ctx context.Context, inputs map[string]Waveform, opts SimOptions) (*Trace, error) {
 	return sim.SimulateModuleContext(ctx, d.VHIF, inputs, opts)
 }
 
-// SimulateNetlist runs a functional transient analysis of a synthesized
-// netlist (every component evaluates its ideal transfer function).
-func (a *Architecture) Simulate(inputs map[string]Waveform, opts SimOptions) (*Trace, error) {
-	return sim.SimulateNetlist(a.Netlist, inputs, opts)
-}
-
-// SimulateContext is Simulate under a context; a cancelled or deadlined
-// run returns the partial trace with Trace.Truncated set.
-func (a *Architecture) SimulateContext(ctx context.Context, inputs map[string]Waveform, opts SimOptions) (*Trace, error) {
+// Simulate runs a functional transient analysis of the synthesized netlist
+// (every component evaluates its ideal transfer function). A cancelled or
+// deadlined run returns the partial trace with Trace.Truncated set.
+func (a *Architecture) Simulate(ctx context.Context, inputs map[string]Waveform, opts SimOptions) (*Trace, error) {
 	return sim.SimulateNetlistContext(ctx, a.Netlist, inputs, opts)
 }
 
@@ -505,88 +440,47 @@ func (r *SpiceResult) V(name string) []float64 { return r.Elab.V(r.Tran, name) }
 func (r *SpiceResult) Time() []float64 { return r.Tran.Time }
 
 // Spice elaborates the netlist into an op-amp macromodel circuit and runs a
-// transient analysis — the paper's SPICE verification step.
-func (a *Architecture) Spice(inputs map[string]Waveform, tstop, tstep float64) (*SpiceResult, error) {
-	return a.SpiceContext(context.Background(), inputs, tstop, tstep)
-}
-
-// SpiceContext is Spice under a context: a cancelled or deadlined transient
-// returns the samples computed so far with Tran.Truncated set.
-func (a *Architecture) SpiceContext(ctx context.Context, inputs map[string]Waveform, tstop, tstep float64) (*SpiceResult, error) {
+// transient analysis — the paper's SPICE verification step. A cancelled or
+// deadlined transient returns the samples computed so far with
+// Tran.Truncated set.
+func (a *Architecture) Spice(ctx context.Context, inputs map[string]Waveform, tstop, tstep float64) (*SpiceResult, error) {
 	waves := make(map[string]mna.Waveform, len(inputs))
 	for name, w := range inputs {
 		waves[name] = mna.Waveform(w)
 	}
-	el, err := mna.Elaborate(a.Netlist, waves)
-	if err != nil {
-		return nil, err
-	}
-	el.Circuit.Workers = a.SimWorkers
-	el.Circuit.Solver = a.SimSolver
-	el.Circuit.Budget = a.SimBudget
-	tr, err := el.Circuit.TransientContext(ctx, tstop, tstep)
+	el, tr, err := pipeline.Transient(ctx, a.Netlist, waves, tstop, tstep, a.spiceOptions())
 	if err != nil {
 		return nil, err
 	}
 	return &SpiceResult{Elab: el, Tran: tr, Stats: el.Circuit.SolverStats()}, nil
 }
 
-// SpiceVia is SpiceContext with the transient memoized in an explicit
-// pipeline. The inputs are textual waveform specs (the ParseWaveform
-// grammar) rather than functions — functions are not content-addressable,
-// their specs are. The cache key covers the encoded netlist, the specs,
-// the analysis window and the solver tier with its error budget, so a
-// fast-tier trace never masquerades as an exact one (and vice versa); see
-// pipeline.SpiceKey. On a hit the solver never runs: the circuit is
-// re-elaborated only for named-port lookup and the stored samples are
-// rehydrated onto it.
+// SpiceVia is Spice with the transient memoized in p (nil =
+// DefaultPipeline()): the only memoized form, because it takes textual
+// waveform specs (the ParseWaveform grammar) rather than functions —
+// functions are not content-addressable, their specs are. The cache key
+// covers the encoded netlist, the specs, the analysis window and the
+// solver tier with its error budget, so a fast-tier trace never
+// masquerades as an exact one (and vice versa); see pipeline.SpiceKey. On
+// a hit the solver never runs: the stored samples are rehydrated onto a
+// fresh elaboration of the circuit.
 func (a *Architecture) SpiceVia(ctx context.Context, p *Pipeline, inputs map[string]string, tstop, tstep float64) (*SpiceResult, error) {
-	data, err := a.Netlist.Encode()
-	if err != nil {
-		// An unencodable netlist cannot be content-addressed; run the
-		// simulation directly rather than failing it.
-		waves, perr := wavespec.ParseMap(inputs)
-		if perr != nil {
-			return nil, perr
-		}
-		ws := make(map[string]Waveform, len(waves))
-		for name, w := range waves {
-			ws[name] = Waveform(w)
-		}
-		return a.SpiceContext(ctx, ws, tstop, tstep)
-	}
-	sd, err := p.Spice(ctx, data, inputs, tstop, tstep, pipeline.SpiceOptions{
-		Solver:  a.SimSolver,
-		Budget:  a.SimBudget,
-		Workers: a.SimWorkers,
-	})
+	r, err := orDefault(p).Spice(ctx, a.Netlist, inputs, tstop, tstep, a.spiceOptions())
 	if err != nil {
 		return nil, err
 	}
-	sources, err := wavespec.ParseMap(inputs)
-	if err != nil {
-		return nil, err
-	}
-	mw := make(map[string]mna.Waveform, len(sources))
-	for name, w := range sources {
-		mw[name] = mna.Waveform(w)
-	}
-	el, err := mna.Elaborate(a.Netlist, mw)
-	if err != nil {
-		return nil, err
-	}
-	v := make(map[mna.Node][]float64, len(sd.V))
-	for n, w := range sd.V {
-		v[mna.Node(n)] = w
-	}
-	tr := el.Circuit.TranFromSamples(sd.Time, v, sd.Truncated)
-	return &SpiceResult{Elab: el, Tran: tr}, nil
+	return &SpiceResult{Elab: r.Elab, Tran: r.Tran, Stats: r.Elab.Circuit.SolverStats()}, nil
+}
+
+// spiceOptions is the architecture's solver-tier selection for transients.
+func (a *Architecture) spiceOptions() pipeline.SpiceOptions {
+	return pipeline.SpiceOptions{Solver: a.SimSolver, Budget: a.SimBudget, Workers: a.SimWorkers}
 }
 
 // ACResponse is a small-signal frequency sweep of a synthesized circuit.
 type ACResponse struct {
 	Freqs []float64
-	// Truncated is set when a cancelled or deadlined ACContext stopped the
+	// Truncated is set when a cancelled or deadlined context stopped the
 	// sweep early; Freqs holds the points solved so far.
 	Truncated bool
 	// Stats summarizes the linear-solver work behind the sweep.
@@ -616,22 +510,12 @@ func (r *ACResponse) MagDB(name string) []float64 {
 // AC elaborates the netlist into its op-amp macromodel circuit and runs a
 // small-signal frequency sweep with the named input port as the stimulus:
 // points log-spaced frequencies in [f1, f2]. Other inputs are held at their
-// DC values (zero).
-func (a *Architecture) AC(stimulus string, f1, f2 float64, points int) (*ACResponse, error) {
-	return a.ACContext(context.Background(), stimulus, f1, f2, points)
-}
-
-// ACContext is AC under a context, checked between frequency points: a
+// DC values (zero). The context is checked between frequency points: a
 // cancelled or deadlined sweep returns the prefix of points solved so far
 // with ACResponse.Truncated set, matching the anytime contract of the
 // transient simulators.
-func (a *Architecture) ACContext(ctx context.Context, stimulus string, f1, f2 float64, points int) (*ACResponse, error) {
-	waves := map[string]mna.Waveform{}
-	for _, p := range a.Netlist.Ports {
-		if p.Dir == netlist.In {
-			waves[p.Name] = func(float64) float64 { return 0 }
-		}
-	}
+func (a *Architecture) AC(ctx context.Context, stimulus string, f1, f2 float64, points int) (*ACResponse, error) {
+	waves := zeroInputs(a.Netlist)
 	if _, ok := waves[stimulus]; !ok {
 		return nil, fmt.Errorf("vase: no input port %q for the AC stimulus", stimulus)
 	}
@@ -654,17 +538,22 @@ func (a *Architecture) ACContext(ctx context.Context, stimulus string, f1, f2 fl
 func (a *Architecture) SpiceDeck() (string, error) {
 	// Elaborate with placeholder sources; the deck marks them for the user
 	// to replace.
-	waves := map[string]mna.Waveform{}
-	for _, p := range a.Netlist.Ports {
-		if p.Dir == netlist.In {
-			waves[p.Name] = func(float64) float64 { return 0 }
-		}
-	}
-	el, err := mna.Elaborate(a.Netlist, waves)
+	el, err := mna.Elaborate(a.Netlist, zeroInputs(a.Netlist))
 	if err != nil {
 		return "", err
 	}
 	return el.Circuit.SpiceDeck(a.Netlist.Name), nil
+}
+
+// zeroInputs binds every input port of the netlist to a 0 V source.
+func zeroInputs(nl *netlist.Netlist) map[string]mna.Waveform {
+	waves := map[string]mna.Waveform{}
+	for _, p := range nl.Ports {
+		if p.Dir == netlist.In {
+			waves[p.Name] = func(float64) float64 { return 0 }
+		}
+	}
+	return waves
 }
 
 // Process and SystemSpec re-export the estimation configuration.

@@ -9,6 +9,9 @@ import (
 	"vase"
 )
 
+// ctx is the context of the facade calls that need no deadline.
+var ctx = context.Background()
+
 const mixerSrc = `
 entity mixer is
   port (
@@ -24,7 +27,7 @@ end architecture;
 `
 
 func TestCompileAPI(t *testing.T) {
-	d, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: mixerSrc})
+	d, err := vase.Compile(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -41,18 +44,18 @@ func TestCompileAPI(t *testing.T) {
 }
 
 func TestCompileErrorsSurface(t *testing.T) {
-	_, err := vase.Compile(vase.Source{Name: "bad.vhd", Text: "entity e is garbage"})
+	_, err := vase.Compile(ctx, nil, vase.Source{Name: "bad.vhd", Text: "entity e is garbage"})
 	if err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestSynthesizeAPI(t *testing.T) {
-	d, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: mixerSrc})
+	d, err := vase.Compile(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	arch, err := d.Synthesize()
+	arch, err := d.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
@@ -68,11 +71,11 @@ func TestSynthesizeAPI(t *testing.T) {
 }
 
 func TestSimulateAPI(t *testing.T) {
-	d, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: mixerSrc})
+	d, err := vase.Compile(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	tr, err := d.Simulate(map[string]vase.Waveform{
+	tr, err := d.Simulate(ctx, map[string]vase.Waveform{
 		"a": vase.DC(0.1),
 		"b": vase.DC(0.2),
 	}, vase.SimOptions{TStop: 1e-4, TStep: 1e-6})
@@ -85,21 +88,21 @@ func TestSimulateAPI(t *testing.T) {
 }
 
 func TestArchitectureSimulateMatchesDesign(t *testing.T) {
-	d, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: mixerSrc})
+	d, err := vase.Compile(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	arch, err := d.Synthesize()
+	arch, err := d.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
 	in := map[string]vase.Waveform{"a": vase.Sine(0.1, 1e3, 0), "b": vase.DC(0.05)}
 	opts := vase.SimOptions{TStop: 2e-3, TStep: 1e-6}
-	trD, err := d.Simulate(in, opts)
+	trD, err := d.Simulate(ctx, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trA, err := arch.Simulate(in, opts)
+	trA, err := arch.Simulate(ctx, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +115,15 @@ func TestArchitectureSimulateMatchesDesign(t *testing.T) {
 }
 
 func TestSpiceAPI(t *testing.T) {
-	d, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: mixerSrc})
+	d, err := vase.Compile(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	arch, err := d.Synthesize()
+	arch, err := d.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
-	res, err := arch.Spice(map[string]vase.Waveform{
+	res, err := arch.Spice(ctx, map[string]vase.Waveform{
 		"a": vase.DC(0.1),
 		"b": vase.DC(0.2),
 	}, 1e-4, 1e-6)
@@ -137,11 +140,11 @@ func TestSpiceAPI(t *testing.T) {
 }
 
 func TestSpiceDeckAPI(t *testing.T) {
-	d, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: mixerSrc})
+	d, err := vase.Compile(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	arch, err := d.Synthesize()
+	arch, err := d.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
@@ -157,7 +160,7 @@ func TestSpiceDeckAPI(t *testing.T) {
 }
 
 func TestCompileAlternativesAPI(t *testing.T) {
-	mods, err := vase.CompileAlternatives(vase.Source{Name: "mixer.vhd", Text: mixerSrc}, 0)
+	mods, err := vase.CompileAlternatives(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc}, 0)
 	if err != nil {
 		t.Fatalf("alternatives: %v", err)
 	}
@@ -179,13 +182,13 @@ func TestBenchmarksAPI(t *testing.T) {
 }
 
 func TestTraceTreeAPI(t *testing.T) {
-	d, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: mixerSrc})
+	d, err := vase.Compile(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	opts := vase.DefaultSynthesisOptions()
 	opts.Trace = true
-	arch, err := d.SynthesizeWith(opts)
+	arch, err := d.Synthesize(ctx, opts)
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
@@ -209,15 +212,15 @@ architecture a of smooth is
 begin
   vout == vin;
 end architecture;`
-	d, err := vase.Compile(vase.Source{Name: "smooth.vhd", Text: src})
+	d, err := vase.Compile(ctx, nil, vase.Source{Name: "smooth.vhd", Text: src})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	arch, err := d.Synthesize()
+	arch, err := d.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
-	res, err := arch.AC("vin", 10, 100e3, 5) // 10 Hz .. 100 kHz
+	res, err := arch.AC(ctx, "vin", 10, 100e3, 5) // 10 Hz .. 100 kHz
 	if err != nil {
 		t.Fatalf("ac: %v", err)
 	}
@@ -231,17 +234,17 @@ end architecture;`
 	if mag[len(mag)-1] > 0.1 {
 		t.Errorf("stopband gain = %g, want attenuated (100x above corner)", mag[len(mag)-1])
 	}
-	if _, err := arch.AC("ghost", 10, 100, 3); err == nil {
+	if _, err := arch.AC(ctx, "ghost", 10, 100, 3); err == nil {
 		t.Error("expected error for unknown stimulus port")
 	}
 }
 
 func TestSizingAPI(t *testing.T) {
-	d, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: mixerSrc})
+	d, err := vase.Compile(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	arch, err := d.Synthesize()
+	arch, err := d.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
@@ -266,7 +269,7 @@ architecture arch of e is
 begin
   y == nosuch * a;
 end architecture;`}
-	_, err := vase.Compile(src)
+	_, err := vase.Compile(ctx, nil, src)
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -288,18 +291,18 @@ end architecture;`}
 // in both solver tiers (the fast tier's determinism is what makes its
 // results cacheable at all).
 func TestSpiceViaAPI(t *testing.T) {
-	d, err := vase.Compile(vase.Source{Name: "mixer.vhd", Text: mixerSrc})
+	d, err := vase.Compile(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	arch, err := d.Synthesize()
+	arch, err := d.Synthesize(ctx, vase.DefaultSynthesisOptions())
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
 	arch.SimSolver = vase.SolverFast
 	inputs := map[string]string{"a": "dc:0.1", "b": "dc:0.2"}
 	waves := map[string]vase.Waveform{"a": vase.DC(0.1), "b": vase.DC(0.2)}
-	direct, err := arch.Spice(waves, 1e-4, 1e-6)
+	direct, err := arch.Spice(ctx, waves, 1e-4, 1e-6)
 	if err != nil {
 		t.Fatalf("direct spice: %v", err)
 	}
@@ -307,11 +310,11 @@ func TestSpiceViaAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
-	cold, err := arch.SpiceVia(context.Background(), p, inputs, 1e-4, 1e-6)
+	cold, err := arch.SpiceVia(ctx, p, inputs, 1e-4, 1e-6)
 	if err != nil {
 		t.Fatalf("cold SpiceVia: %v", err)
 	}
-	warm, err := arch.SpiceVia(context.Background(), p, inputs, 1e-4, 1e-6)
+	warm, err := arch.SpiceVia(ctx, p, inputs, 1e-4, 1e-6)
 	if err != nil {
 		t.Fatalf("warm SpiceVia: %v", err)
 	}
@@ -326,5 +329,52 @@ func TestSpiceViaAPI(t *testing.T) {
 					math.Float64bits(ry[i]), math.Float64bits(dy[i]))
 			}
 		}
+	}
+}
+
+// requests totals every stage's cache traffic: hits of all kinds, misses
+// and errors.
+func requests(s vase.PipelineStats) uint64 {
+	var n uint64
+	for _, st := range s.Stages {
+		n += st.Cached() + st.Misses + st.Errors
+	}
+	return n
+}
+
+// TestNilPipelineIsDefault pins the facade's one call form: a nil
+// *Pipeline routes Compile and Lint through DefaultPipeline(), and an
+// explicit pipeline leaves the default's counters untouched.
+func TestNilPipelineIsDefault(t *testing.T) {
+	src := vase.Source{Name: "mixer.vhd", Text: mixerSrc}
+	explicit, err := vase.NewPipeline(vase.PipelineOptions{})
+	if err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+	before := requests(vase.DefaultPipeline().Stats())
+	if _, err := vase.Compile(ctx, explicit, src); err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if _, err := vase.Lint(ctx, explicit, src, vase.LintOptions{}); err != nil {
+		t.Fatalf("lint: %v", err)
+	}
+	if n := requests(vase.DefaultPipeline().Stats()); n != before {
+		t.Errorf("explicit pipeline moved the default pipeline: %d requests, then %d", before, n)
+	}
+	if requests(explicit.Stats()) == 0 {
+		t.Error("explicit pipeline recorded no requests")
+	}
+	if _, err := vase.Compile(ctx, nil, src); err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	compiled := requests(vase.DefaultPipeline().Stats())
+	if compiled == before {
+		t.Error("Compile with a nil pipeline did not go through DefaultPipeline()")
+	}
+	if _, err := vase.Lint(ctx, nil, src, vase.LintOptions{}); err != nil {
+		t.Fatalf("lint: %v", err)
+	}
+	if requests(vase.DefaultPipeline().Stats()) == compiled {
+		t.Error("Lint with a nil pipeline did not go through DefaultPipeline()")
 	}
 }
