@@ -7,8 +7,6 @@ package vase_test
 
 import (
 	"context"
-	"runtime"
-	"strconv"
 	"testing"
 
 	"vase"
@@ -17,7 +15,6 @@ import (
 	"vase/internal/mna"
 	"vase/internal/patterns"
 	"vase/internal/sim"
-	"vase/internal/vhif"
 )
 
 // ---------------------------------------------------------------------------
@@ -177,8 +174,10 @@ func synthModule(b *testing.B, opts mapper.Options) mapper.Stats {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The ablation metrics describe the sequential exploration order.
-	opts.Workers = 1
+	// The ablation metrics describe the paper's decision tree over the whole
+	// cascade. Its stages are independent parts, so Trace keeps the search
+	// on one part to measure it.
+	opts.Trace = true
 	res, err := mapper.Synthesize(d.VHIF, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -279,12 +278,12 @@ func BenchmarkAblationStrongBound(b *testing.B) {
 
 // BenchmarkHeuristicFirstFit compares exact branch-and-bound against the
 // first-fit heuristic (paper Section 7: "a more time-effective exploration
-// heuristic").
+// heuristic"), on one part (Trace) and on the cascade's independent parts.
 func BenchmarkHeuristicFirstFit(b *testing.B) {
-	run := func(b *testing.B, firstFit bool) {
+	run := func(b *testing.B, firstFit, onePart bool) {
 		opts := mapper.DefaultOptions()
-		opts.Workers = 1 // node metrics describe the sequential order
 		opts.FirstFit = firstFit
+		opts.Trace = onePart
 		var nodes, amps int
 		for i := 0; i < b.N; i++ {
 			d, err := vase.Compile(context.Background(), nil, vase.Source{Name: "cascade.vhd", Text: ablationSource})
@@ -301,8 +300,10 @@ func BenchmarkHeuristicFirstFit(b *testing.B) {
 		b.ReportMetric(float64(nodes), "nodes")
 		b.ReportMetric(float64(amps), "opamps")
 	}
-	b.Run("exact", func(b *testing.B) { run(b, false) })
-	b.Run("firstfit", func(b *testing.B) { run(b, true) })
+	b.Run("exact/one-part", func(b *testing.B) { run(b, false, true) })
+	b.Run("firstfit/one-part", func(b *testing.B) { run(b, true, true) })
+	b.Run("exact/parts", func(b *testing.B) { run(b, false, false) })
+	b.Run("firstfit/parts", func(b *testing.B) { run(b, true, false) })
 }
 
 // BenchmarkAblationDirect compares the two-step flow (technology-independent
@@ -382,85 +383,5 @@ func BenchmarkPipelineCached(b *testing.B) {
 		if !arch.Cached {
 			b.Fatal("warm synthesis missed the cache")
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Parallel search (DESIGN.md section 7).
-
-// benchWorkerCounts is the worker-count axis of the parallel benchmarks:
-// sequential, the acceptance point (4), and whatever this machine has.
-func benchWorkerCounts() []int {
-	counts := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// buildDeepFigure6 scales the Figure 6 experiment until its decision tree is
-// worth distributing: the same gain-cascade structure (each stage with a
-// one-amp and a two-amp match), n stages deep — 2^n complete mappings
-// unbounded, versus the paper example's 5.
-func buildDeepFigure6(n int) *vhif.Module {
-	g := vhif.NewGraph("main")
-	in := g.AddBlock(vhif.BInput, "a")
-	net := in.Out
-	for i := 0; i < n; i++ {
-		gb := g.AddBlock(vhif.BGain, "", net)
-		gb.Param = float64(i + 3)
-		net = gb.Out
-	}
-	g.AddBlock(vhif.BOutput, "y", net)
-	return &vhif.Module{Name: "fig6deep", Graphs: []*vhif.Graph{g}}
-}
-
-// BenchmarkFigure6Parallel measures the parallel branch-and-bound against
-// the sequential search on the deepened Figure 6 cascade. Workers=1 is the
-// exact sequential algorithm; every other worker count returns the identical
-// netlist (asserted here) and should approach linear speedup on multi-core
-// hardware.
-func BenchmarkFigure6Parallel(b *testing.B) {
-	m := buildDeepFigure6(14)
-	ref := mapper.DefaultOptions()
-	ref.Workers = 1
-	want, err := mapper.Synthesize(m, ref)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wantDump := want.Netlist.Dump()
-	for _, workers := range benchWorkerCounts() {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			opts := mapper.DefaultOptions()
-			opts.Workers = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := mapper.Synthesize(m, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Netlist.Dump() != wantDump {
-					b.Fatal("parallel result diverged from sequential")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable1Parallel regenerates Table 1 under each worker count — the
-// end-to-end flow (parse, analyze, compile, synthesize) on the five paper
-// applications.
-func BenchmarkTable1Parallel(b *testing.B) {
-	for _, workers := range benchWorkerCounts() {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			opts := mapper.DefaultOptions()
-			opts.Workers = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := corpus.BuildAll(context.Background(), nil, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

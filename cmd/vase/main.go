@@ -28,17 +28,18 @@ func main() {
 	sizing := flag.Bool("sizing", false, "print the transistor sizing report")
 	fromVHIF := flag.Bool("from-vhif", false, "the input file is serialized VHIF, not VASS")
 	benchmark := flag.String("benchmark", "", "synthesize a built-in benchmark")
-	workers := flag.Int("workers", 0, "parallel search workers (0 = all CPUs, 1 = sequential)")
 	lintFlag := flag.Bool("lint", false, "run the synthesizability linter before synthesis")
 	werror := flag.Bool("Werror", false, "with -lint, treat warnings as errors")
 	timeout := flag.Duration("timeout", 0, "deadline for the search; on expiry the best netlist found so far is printed (0 = none)")
 	maxSteps := flag.Int("max-steps", 0, "search node budget; on exhaustion the best netlist so far is printed (0 = unlimited)")
 	cache := cliopt.CacheFlags("compile and synthesis artifacts")
 	flag.Parse()
+	if *maxSteps < 0 {
+		usage(fmt.Errorf("-max-steps must be >= 0 (0 = unlimited), got %d", *maxSteps))
+	}
 
 	opts := vase.DefaultSynthesisOptions()
 	opts.Trace = *showTree
-	opts.Workers = *workers
 	opts.MaxNodes = *maxSteps
 
 	pipe, report, err := cache.Open()

@@ -32,13 +32,15 @@ func main() {
 	fig6 := flag.Bool("fig6", false, "reproduce Figure 6 (branch-and-bound decision tree)")
 	fig7 := flag.Bool("fig7", false, "reproduce Figure 7 (receiver synthesis)")
 	fig8 := flag.Bool("fig8", false, "reproduce Figure 8 (receiver circuit simulation)")
-	workers := flag.Int("workers", 0, "parallel search workers for Table 1 (0 = all CPUs, 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "shared deadline for the Table 1 searches; expired entries use the best netlist found so far (0 = none)")
 	maxSteps := flag.Int("max-steps", 0, "per-application search node budget for Table 1 (0 = unlimited)")
 	cache := cliopt.CacheFlags("compile and synthesis artifacts")
 	solver := mna.SolverAuto
 	flag.Var(solveropt.Flag{Mode: &solver}, "solver", solveropt.Usage+" (affects Figure 8)")
 	flag.Parse()
+	if *maxSteps < 0 {
+		exitcode.Fail("vasebench", exitcode.Usage, fmt.Errorf("-max-steps must be >= 0 (0 = unlimited), got %d", *maxSteps))
+	}
 
 	pipe, report, err := cache.Open()
 	if err != nil {
@@ -51,7 +53,6 @@ func main() {
 	if *table1 || all {
 		section("Table 1 — behavioral synthesis results for 5 real-life applications")
 		opts := mapper.DefaultOptions()
-		opts.Workers = *workers
 		opts.MaxNodes = *maxSteps
 		ctx, cancel := cliopt.Context(*timeout)
 		defer cancel()

@@ -1,8 +1,8 @@
 // Command vased serves the VASE toolchain over HTTP/JSON: parse, lint,
 // synthesize and simulate endpoints sharing one content-addressed pipeline
-// cache with single-flight deduplication, plus admission control, a shared
-// search-worker budget, per-request deadlines mapped onto the anytime
-// synthesis contract, and a /metrics endpoint.
+// cache with single-flight deduplication, plus admission control,
+// per-request deadlines mapped onto the anytime synthesis contract, and a
+// /metrics endpoint.
 //
 // Usage:
 //
@@ -36,7 +36,6 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "simultaneously running requests (0 = all CPUs)")
 	queueDepth := flag.Int("queue-depth", 0, "requests queued beyond -max-concurrent before shedding with 429 (0 = 4x max-concurrent)")
 	queueWait := flag.Duration("queue-wait", 0, "longest a request queues before 503 (0 = 2s)")
-	workers := flag.Int("worker-budget", 0, "shared branch-and-bound worker budget across all synthesize requests (0 = all CPUs)")
 	defaultTimeout := flag.Duration("default-timeout", 0, "per-request deadline when the client sends none (0 = 30s)")
 	maxTimeout := flag.Duration("max-timeout", 0, "clamp on client-requested deadlines (0 = 5m)")
 	flag.Parse()
@@ -57,7 +56,6 @@ func main() {
 		MaxConcurrent:   *maxConcurrent,
 		QueueDepth:      *queueDepth,
 		QueueWait:       *queueWait,
-		WorkerBudget:    *workers,
 		DefaultDeadline: *defaultTimeout,
 		MaxDeadline:     *maxTimeout,
 	})

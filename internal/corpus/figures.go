@@ -133,10 +133,9 @@ type Figure6Result struct {
 // complete mappings without bounding (the full tree of Figure 6a), then
 // runs the bounded search and reports the minimum-op-amp mapping.
 func Figure6() (*Figure6Result, string, error) {
-	// The figure reproduces the paper's sequential exploration (its node
-	// counts and tree shape), so pin Workers to 1.
+	// Both runs are traced, so each searches the graph as one part: the
+	// figure's node counts and tree shape are the paper's exploration.
 	unbounded := mapper.DefaultOptions()
-	unbounded.Workers = 1
 	unbounded.NoBounding = true
 	unbounded.Trace = true
 	full, err := mapper.Synthesize(Figure6Module(), unbounded)
@@ -156,7 +155,6 @@ func Figure6() (*Figure6Result, string, error) {
 	walk(full.Tree)
 
 	bounded := mapper.DefaultOptions()
-	bounded.Workers = 1
 	bounded.Trace = true
 	res, err := mapper.Synthesize(Figure6Module(), bounded)
 	if err != nil {

@@ -62,10 +62,10 @@ type cellKey struct {
 	inst CellInstance
 }
 
-// cellMemo caches EstimateCell results. The branch-and-bound mapper
-// re-estimates the same (process, spec, instance) triple at every tree node
-// that binds the same component, and its parallel workers do so
-// concurrently, so the cache is shared and lock-free on the hit path.
+// cellMemo caches EstimateCell results. Every mapper search estimates the
+// same (process, spec, instance) triples as the searches before it, and
+// concurrent searches (vased requests, campaign workers) do so at once, so
+// the cache is shared and lock-free on the hit path.
 var cellMemo sync.Map // cellKey -> cellResult
 
 type cellResult struct {

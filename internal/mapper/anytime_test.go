@@ -2,7 +2,7 @@
 // cancelled or deadlined search must return a valid, netlist-checkable
 // incumbent tagged Nonoptimal instead of failing, an uncancelled run must
 // stay byte-identical to the plain Synthesize path, and repeated truncated
-// parallel runs must not leak goroutines.
+// runs must not leak goroutines.
 package mapper_test
 
 import (
@@ -43,15 +43,15 @@ func TestCancelledSearchReturnsIncumbent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, nm := range corpusModules(t) {
-		for _, workers := range []int{1, 4} {
+		for _, trace := range []bool{false, true} {
 			opts := mapper.DefaultOptions()
-			opts.Workers = workers
+			opts.Trace = trace
 			res, err := mapper.SynthesizeContext(ctx, nm.m, opts)
 			if err != nil {
-				t.Fatalf("%s (workers=%d): cancelled search failed instead of returning incumbent: %v", nm.key, workers, err)
+				t.Fatalf("%s (trace=%v): cancelled search failed instead of returning incumbent: %v", nm.key, trace, err)
 			}
 			if !res.Nonoptimal {
-				t.Errorf("%s (workers=%d): cancelled search did not set Nonoptimal", nm.key, workers)
+				t.Errorf("%s (trace=%v): cancelled search did not set Nonoptimal", nm.key, trace)
 			}
 			checkIncumbent(t, nm.key, res)
 		}
@@ -84,7 +84,6 @@ func TestDeadlinedBuildReturnsIncumbent(t *testing.T) {
 func TestNodeBudgetReturnsIncumbent(t *testing.T) {
 	for _, nm := range corpusModules(t) {
 		opts := mapper.DefaultOptions()
-		opts.Workers = 1
 		opts.MaxNodes = 2
 		res, err := mapper.SynthesizeContext(context.Background(), nm.m, opts)
 		if err != nil {
@@ -120,10 +119,10 @@ func TestUncancelledRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTruncatedParallelRunsDoNotLeakGoroutines hammers the parallel search
-// with deadlines that expire mid-run and checks the goroutine count settles
-// back to the baseline (the repo vendors no dependencies, so this stands in
-// for goleak).
+// TestTruncatedParallelRunsDoNotLeakGoroutines hammers the search with
+// deadlines that expire mid-run and checks the goroutine count settles back
+// to the baseline: each run arms a context.AfterFunc that must be released
+// (the repo vendors no dependencies, so this stands in for goleak).
 func TestTruncatedParallelRunsDoNotLeakGoroutines(t *testing.T) {
 	mods := corpusModules(t)
 	receiver := mods[0].m
@@ -136,13 +135,12 @@ func TestTruncatedParallelRunsDoNotLeakGoroutines(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%5)*100*time.Microsecond)
 		opts := mapper.DefaultOptions()
-		opts.Workers = 4
 		if _, err := mapper.SynthesizeContext(ctx, receiver, opts); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		cancel()
 	}
-	// Worker goroutines exit after reduce(); give the scheduler a moment.
+	// AfterFunc goroutines exit once stopped; give the scheduler a moment.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= baseline+2 {

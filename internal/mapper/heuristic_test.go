@@ -22,28 +22,35 @@ func buildCascade(n int) *vhif.Module {
 }
 
 func TestFirstFitHeuristic(t *testing.T) {
+	// The cascade splits into one-block parts, one per stage: there the
+	// exact search already costs what first-fit costs, and first-fit
+	// completes each part once.
 	m := buildCascade(10)
-	// Sequential search: the single-mapping and node-count assertions
-	// describe the depth-first exploration order.
-	seq := DefaultOptions()
-	seq.Workers = 1
-	exact := synth(t, m, seq)
-	opts := seq
+	exact := synth(t, m, DefaultOptions())
+	opts := DefaultOptions()
 	opts.FirstFit = true
 	greedy := synth(t, m, opts)
 
-	if greedy.Stats.CompleteMappings != 1 {
-		t.Errorf("first-fit explored %d complete mappings, want 1", greedy.Stats.CompleteMappings)
+	if n := len(newSearch(m, opts).parts()); n != 10 {
+		t.Fatalf("cascade split into %d parts, want 10", n)
 	}
-	if greedy.Stats.NodesVisited >= exact.Stats.NodesVisited {
-		t.Errorf("first-fit visited %d nodes, exact %d — heuristic should be cheaper",
-			greedy.Stats.NodesVisited, exact.Stats.NodesVisited)
+	if greedy.Stats.CompleteMappings != 10 {
+		t.Errorf("first-fit explored %d complete mappings, want 1 per part (10)", greedy.Stats.CompleteMappings)
 	}
 	// With the sequencing rule ordering candidates, the first completion is
 	// the op-amp optimum on this structure.
 	if greedy.Netlist.OpAmpCount() != exact.Netlist.OpAmpCount() {
 		t.Errorf("first-fit found %d op amps, exact %d",
 			greedy.Netlist.OpAmpCount(), exact.Netlist.OpAmpCount())
+	}
+	// On the one-part Figure 6 graph, first-fit stops at its first
+	// completion while the exact search goes on to prove the optimum.
+	fig := buildFig6()
+	exactFig := synth(t, fig, DefaultOptions())
+	greedyFig := synth(t, fig, opts)
+	if greedyFig.Stats.NodesVisited >= exactFig.Stats.NodesVisited {
+		t.Errorf("first-fit visited %d nodes, exact %d — heuristic should be cheaper",
+			greedyFig.Stats.NodesVisited, exactFig.Stats.NodesVisited)
 	}
 }
 
@@ -61,11 +68,12 @@ func TestFirstFitOnReceiver(t *testing.T) {
 
 func TestStrongBoundPreservesOptimum(t *testing.T) {
 	// With sharing disabled the strong bound is admissible: same optimum,
-	// fewer or equal nodes.
+	// fewer or equal nodes. The strong bound searches one part, so the weak
+	// run is traced to search the same one part.
 	for _, m := range []*vhif.Module{buildCascade(8), buildFig6(), buildChain()} {
 		weak := DefaultOptions()
-		weak.Workers = 1
 		weak.NoSharing = true
+		weak.Trace = true
 		strong := weak
 		strong.StrongBound = true
 		rw := synth(t, m, weak)
@@ -84,8 +92,8 @@ func TestStrongBoundPreservesOptimum(t *testing.T) {
 func TestStrongBoundPrunesMore(t *testing.T) {
 	m := buildCascade(10)
 	weak := DefaultOptions()
-	weak.Workers = 1
 	weak.NoSharing = true
+	weak.Trace = true // one part, like the strong bound
 	strong := weak
 	strong.StrongBound = true
 	rw := synth(t, m, weak)
@@ -161,7 +169,6 @@ func TestLargeDesignFirstFit(t *testing.T) {
 	// everything.
 	m := buildTree(4)
 	opts := DefaultOptions()
-	opts.Workers = 1
 	opts.FirstFit = true
 	res := synth(t, m, opts)
 	// Summing absorption: each adder absorbs its gain inputs; the tree

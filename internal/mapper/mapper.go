@@ -19,12 +19,17 @@
 //     solution is found early and the bound becomes effective.
 //
 // Complete mappings are ranked by the analog performance estimator.
+//
+// Blocks interact only through a pattern that covers several of them, or
+// through sharing, which needs equal sharing signatures. Blocks linked by
+// neither are independent, so the search splits the design into independent
+// parts, runs the branch-and-bound on each part in turn, and stitches the
+// parts' mappings back together in block order (see parts).
 package mapper
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -72,37 +77,30 @@ type Options struct {
 	// bounding rule ("more effective bounding rules", paper Section 7).
 	// Admissible when sharing is disabled; with sharing it may prune
 	// mappings that would have shared components for free, so it is a
-	// heuristic there.
+	// heuristic there. The bound sums over every uncovered block, so it
+	// searches the design as one part.
 	StrongBound bool
 	// Trace records the decision tree (Figure 6). Tracing is strictly
-	// opt-in: with Trace false the search allocates no tree nodes, which
-	// keeps the hot path allocation-free for parallel workers.
+	// opt-in: with Trace false the search allocates no tree nodes. Figure
+	// 6's tree is one tree over the design, so a traced run searches the
+	// design as one part; it returns the same mapping as an untraced run.
 	Trace bool
-	// MaxNodes caps the search (0 = 1<<22 nodes). With Workers > 1 the cap
-	// is a shared budget across all workers; when it binds, which nodes
-	// were explored (and therefore the returned mapping) depends on
-	// scheduling. A binding cap truncates the search: the best incumbent
-	// found so far is returned with Result.Nonoptimal set.
+	// MaxNodes caps the search (0 = 1<<22 nodes), summed over the parts. A
+	// binding cap truncates the search: the best incumbent found so far is
+	// returned with Result.Nonoptimal set.
 	MaxNodes int
 	// Deadline bounds the wall-clock time of the search (0 = none). It is
 	// applied on top of any context passed to SynthesizeContext; on expiry
 	// the search stops and returns the incumbent with Result.Nonoptimal
 	// set (the anytime contract, DESIGN.md §9).
 	Deadline time.Duration
-	// Workers is the number of concurrent branch-and-bound workers.
-	// 0 selects runtime.GOMAXPROCS(0); 1 runs the exact sequential search
-	// (preserved bit-for-bit for ablations and decision-tree studies).
-	// For any Workers value the returned mapping is identical to the
-	// sequential optimum — workers share the incumbent bound through an
-	// atomic compare-and-swap and ties are broken on canonical (depth-first)
-	// mapping order — except for the inadmissible StrongBound+sharing
-	// combination, where parallel runs are still deterministic but may
-	// settle on a different equal-quality mapping than the sequential
-	// heuristic.
+	// Deprecated: ignored; the search is sequential.
 	Workers int
 	// Performance constraints: complete mappings violating them are
 	// discarded ("so that all performance constraints are satisfied, and
-	// the total ASIC area is minimized"). Zero means unconstrained.
+	// the total ASIC area is minimized"). Zero means unconstrained. A
+	// constraint couples every block, so it searches the design as one
+	// part.
 	MaxAreaUm2 float64
 	MaxPowerMW float64
 	MaxOpAmps  int
@@ -115,19 +113,8 @@ func DefaultOptions() Options {
 	return Options{Process: estimate.SCN20}
 }
 
-// EffectiveWorkers resolves an Options.Workers value to the worker count a
-// search will actually use: n itself when positive, runtime.GOMAXPROCS(0)
-// otherwise. Exported so a scheduler arbitrating a shared worker budget
-// (the vased server) agrees with the search about what a request consumes.
-func EffectiveWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// Stats reports search effort and outcome. In parallel runs the counters
-// aggregate over the splitter and every worker task.
+// Stats reports search effort and outcome. The counters sum over the parts
+// and any first-fit fallback.
 type Stats struct {
 	NodesVisited     int
 	CompleteMappings int
@@ -137,10 +124,6 @@ type Stats struct {
 	Infeasible  int
 	BestOpAmps  int
 	BestAreaUm2 float64
-	// Workers and Tasks describe the parallel decomposition (1/1 for the
-	// sequential search).
-	Workers int
-	Tasks   int
 	// Elapsed is the wall-clock time of the whole synthesis call, so
 	// callers of a deadlined run can reason about how much search the
 	// incumbent received.
@@ -176,9 +159,6 @@ type Result struct {
 }
 
 // Synthesize maps the module onto a minimum-area component netlist.
-// With Options.Workers != 1 the decision tree is split at the top levels
-// into independent subtree tasks explored by a bounded worker pool; see
-// parallel.go for the decomposition and the determinism argument.
 func Synthesize(m *vhif.Module, opts Options) (*Result, error) {
 	return SynthesizeContext(context.Background(), m, opts)
 }
@@ -205,10 +185,9 @@ func SynthesizeContext(ctx context.Context, m *vhif.Module, opts Options) (*Resu
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 1 << 22
 	}
-	opts.Workers = EffectiveWorkers(opts.Workers)
 	s := newSearch(m, opts)
 	if ctx.Done() != nil {
-		// The workers poll an atomic flag instead of the context channel:
+		// The search polls an atomic flag instead of the context channel:
 		// one flag load per node is cheap, and a context that can never
 		// fire (Background) costs nothing at all.
 		var flag atomic.Bool
@@ -225,45 +204,35 @@ func SynthesizeContext(ctx context.Context, m *vhif.Module, opts Options) (*Resu
 		s.root = &TreeNode{Decision: "root"}
 		s.cursor = s.root
 	}
-	if opts.Workers > 1 {
-		s.runParallel()
-	} else {
-		s.stats.Workers, s.stats.Tasks = 1, 1
+	var best []*alloc
+	for _, part := range s.parts() {
+		// A fresh incumbent per part. A cut search stays cut: once the node
+		// budget or the cancel flag stopped one part, the later parts go
+		// straight to the fallback.
+		s.part, s.best, s.bestArea, s.done = part, nil, inf, s.truncated
 		s.run()
-	}
-	if s.truncated && s.best == nil {
-		// Anytime fallback: the search was cut off before its first
-		// complete mapping. A bounded greedy first-fit descent (the
-		// sequencing rule makes its first completion a good one) still
-		// produces a valid incumbent to return.
-		gopts := opts
-		gopts.FirstFit = true
-		gopts.Trace = false
-		gopts.Workers = 1
-		// The truncated run may have exhausted the node budget before its
-		// first completion; the first-fit descent needs its own headroom
-		// (it stops at the first complete mapping, so it stays cheap).
-		gopts.MaxNodes = 1 << 22
-		g := newSearch(m, gopts)
-		g.run()
-		s.best, s.bestArea = g.best, g.bestArea
-		s.stats.NodesVisited += g.stats.NodesVisited
-		s.stats.CompleteMappings += g.stats.CompleteMappings
-		s.stats.Infeasible += g.stats.Infeasible
-		if s.err == nil {
-			s.err = g.err
+		if s.truncated && s.best == nil {
+			s.firstFit()
 		}
-	}
-	if s.best == nil {
-		if s.err != nil {
-			return nil, s.err
+		if s.best == nil {
+			if s.err != nil {
+				return nil, s.err
+			}
+			if s.truncated && ctx.Err() != nil {
+				return nil, fmt.Errorf("mapper: search for module %q cancelled before any feasible mapping: %w", m.Name, ctx.Err())
+			}
+			return nil, fmt.Errorf("mapper: no feasible mapping for module %q", m.Name)
 		}
-		if s.truncated && ctx.Err() != nil {
-			return nil, fmt.Errorf("mapper: search for module %q cancelled before any feasible mapping: %w", m.Name, ctx.Err())
-		}
-		return nil, fmt.Errorf("mapper: no feasible mapping for module %q", m.Name)
+		best = append(best, s.best...)
 	}
-	nl, err := s.buildNetlist(s.best)
+	// Stitch: the one-part search allocates in the block order of each
+	// allocation's defining root, so the same order emits the same netlist.
+	pos := make(map[*vhif.Block]int, len(s.order))
+	for i, b := range s.order {
+		pos[b] = i
+	}
+	sort.Slice(best, func(i, j int) bool { return pos[best[i].match.Root] < pos[best[j].match.Root] })
+	nl, err := s.buildNetlist(best)
 	if err != nil {
 		return nil, err
 	}
@@ -277,10 +246,26 @@ func SynthesizeContext(ctx context.Context, m *vhif.Module, opts Options) (*Resu
 	return &Result{Netlist: nl, Report: rep, Stats: s.stats, Tree: s.root, Nonoptimal: s.truncated}, nil
 }
 
+// firstFit is the anytime fallback for a part cut off before its first
+// complete mapping: a greedy first-fit descent over the part (the
+// sequencing rule makes its first completion a good one). It runs outside
+// the cancel flag and the decision tree, with its own node headroom (it
+// stops at the first complete mapping, so it stays cheap).
+func (s *search) firstFit() {
+	g := *s
+	g.opts.FirstFit, g.opts.MaxNodes = true, 1<<22
+	g.stats, g.cancel, g.cursor, g.done = Stats{}, nil, nil, false
+	g.run()
+	s.best, s.err = g.best, g.err
+	s.stats.NodesVisited += g.stats.NodesVisited
+	s.stats.CompleteMappings += g.stats.CompleteMappings
+	s.stats.Infeasible += g.stats.Infeasible
+}
+
 // newSearch builds a search over the module: the block visitation order,
-// the memoized per-block pattern matches (the candidate lists depend only
-// on the block, never on the covering state, so they are computed once and
-// shared read-only by every worker), and the bounding floors.
+// the memoized per-block candidates (the candidate lists depend only on
+// the block, never on the covering state, so they and their sharing
+// signatures are computed once), and the bounding floors.
 func newSearch(m *vhif.Module, opts Options) *search {
 	s := &search{
 		m:             m,
@@ -289,7 +274,6 @@ func newSearch(m *vhif.Module, opts Options) *search {
 		floorDecision: estimate.MinOTAArea(opts.Process),
 		bestArea:      inf,
 		covered:       map[*vhif.Block]*alloc{},
-		costOf:        map[string]cellCost{},
 	}
 	if opts.Objective == MinimizePower {
 		// Class floors in watts: the minimum-bias designs of each topology.
@@ -297,7 +281,8 @@ func newSearch(m *vhif.Module, opts Options) *search {
 		s.floorDecision = 2e-6 * opts.Process.Vdd // one minimum tail current
 	}
 	s.order = blockOrder(m)
-	s.matchTab = make(map[*vhif.Block][]*patterns.Match, len(s.order))
+	s.cands = make(map[*vhif.Block][]candidate, len(s.order))
+	sigs := map[string]int{}
 	for _, b := range s.order {
 		g := graphOf(m, b)
 		ms := patterns.MatchesFor(g, b, opts.Patterns)
@@ -307,12 +292,79 @@ func newSearch(m *vhif.Module, opts Options) *search {
 				ms[i], ms[j] = ms[j], ms[i]
 			}
 		}
-		s.matchTab[b] = ms
+		cs := make([]candidate, len(ms))
+		for i, match := range ms {
+			key := sigOf(match)
+			id, ok := sigs[key]
+			if !ok {
+				id = len(sigs)
+				sigs[key] = id
+			}
+			cs[i] = candidate{match: match, sig: id}
+		}
+		s.cands[b] = cs
 	}
+	s.costs = make([]cellCost, len(sigs))
 	if opts.StrongBound {
 		s.computeBlockBounds()
 	}
 	return s
+}
+
+// parts splits the block order into the design's independent parts. Two
+// blocks join when one candidate match covers both, or when candidates
+// rooted at them have equal sharing signatures: these are the only ways
+// the branching rule couples blocks. Each part keeps the block order. The
+// options that couple every block keep the whole order as one part: a
+// global constraint, the strong bound (it sums over every uncovered block)
+// and Trace (Figure 6's decision tree is one tree over the design).
+func (s *search) parts() [][]*vhif.Block {
+	o := s.opts
+	if o.MaxAreaUm2 > 0 || o.MaxPowerMW > 0 || o.MaxOpAmps > 0 || o.StrongBound || o.Trace {
+		return [][]*vhif.Block{s.order}
+	}
+	parent := map[*vhif.Block]*vhif.Block{}
+	var find func(b *vhif.Block) *vhif.Block
+	find = func(b *vhif.Block) *vhif.Block {
+		p, ok := parent[b]
+		if !ok || p == b {
+			return b
+		}
+		r := find(p)
+		parent[b] = r
+		return r
+	}
+	union := func(a, b *vhif.Block) {
+		if ra, rb := find(a), find(b); ra != rb {
+			parent[rb] = ra
+		}
+	}
+	rootOfSig := make([]*vhif.Block, len(s.costs)) // costs has one slot per signature
+	for _, b := range s.order {
+		for _, c := range s.cands[b] {
+			for _, cov := range c.match.Blocks {
+				union(b, cov)
+			}
+			if r := rootOfSig[c.sig]; r != nil {
+				union(r, b)
+			} else {
+				rootOfSig[c.sig] = b
+			}
+		}
+	}
+	index := map[*vhif.Block]int{}
+	var out [][]*vhif.Block
+	for _, b := range s.order {
+		r := find(b)
+		i, ok := index[r]
+		if !ok {
+			i = len(out)
+			index[r] = i
+			out = append(out, nil)
+		}
+		out[i] = append(out[i], b)
+	}
+	return out
 }
 
 func graphOf(m *vhif.Module, b *vhif.Block) *vhif.Graph {
@@ -350,16 +402,24 @@ func SystemSpecFor(m *vhif.Module) estimate.SystemSpec {
 }
 
 // cellCost is the cached estimate of a dedicated component: layout area
-// and static power. ok is false for infeasible specifications.
+// and static power. ok is false for infeasible specifications; known is
+// false until the estimate has run.
 type cellCost struct {
 	area, power float64
-	ok          bool
+	ok, known   bool
+}
+
+// candidate is one memoized match of a block with its sharing signature,
+// formatted once and interned to an index into search.costs.
+type candidate struct {
+	match *patterns.Match
+	sig   int
 }
 
 // alloc is one allocated component shared by one or more placements.
 type alloc struct {
 	match *patterns.Match
-	sig   string
+	sig   int
 	area  float64
 	power float64
 	uses  int
@@ -370,22 +430,20 @@ type alloc struct {
 	placements []*patterns.Match
 }
 
-// search carries the branch-and-bound state of one sequential exploration:
-// the whole tree for Workers == 1, or one subtree task inside a worker.
+// search carries the branch-and-bound state: the tables newSearch builds
+// once, and the exploration state of the part being searched.
 type search struct {
 	m             uModule
 	opts          Options
-	order         []*vhif.Block
+	order         []*vhif.Block // the design's block visitation order
 	floorGeneral  float64
 	floorDecision float64
-	// matchTab memoizes the candidate matches of each block in sequencing
-	// order. Read-only after newSearch; shared across workers.
-	matchTab map[*vhif.Block][]*patterns.Match
+	// cands memoizes the candidate matches of each block in sequencing
+	// order. Read-only after newSearch.
+	cands map[*vhif.Block][]candidate
 
-	// Parallel coordination (nil/zero for the sequential search).
-	shared *sharedState
-	task   int // DFS index of this worker's subtree task
-
+	// part is the blocks of the part being searched, in block order.
+	part    []*vhif.Block
 	covered map[*vhif.Block]*alloc
 	allocs  []*alloc
 	opamps  int
@@ -412,10 +470,8 @@ type search struct {
 	// incumbent, not the proven optimum.
 	truncated bool
 
-	// costOf caches the estimated cost per match signature. Workers receive
-	// a fully precomputed table and must not write to it (frozenCost).
-	costOf     map[string]cellCost
-	frozenCost bool
+	// costs caches the estimated cost per sharing signature.
+	costs []cellCost
 	// blockLB is the per-block fractional op amp lower bound used by the
 	// strong bounding rule; remainingLB its sum over uncovered blocks.
 	blockLB     map[*vhif.Block]float64
@@ -482,9 +538,9 @@ func isMappable(b *vhif.Block) bool {
 	return true
 }
 
-// nextUncovered returns the first block in order not yet covered.
+// nextUncovered returns the first block of the part not yet covered.
 func (s *search) nextUncovered() *vhif.Block {
-	for _, b := range s.order {
+	for _, b := range s.part {
 		if s.covered[b] == nil {
 			return b
 		}
@@ -568,8 +624,7 @@ func (s *search) bound(match *patterns.Match) float64 {
 }
 
 // visit accounts one node visit and reports whether the search may proceed:
-// it enforces cancellation, the node budget (shared across workers in
-// parallel runs) and the first-fit early abort.
+// it enforces cancellation and the node budget.
 func (s *search) visit() bool {
 	if s.cancel != nil && s.cancel.Load() {
 		// Deadline expired or the caller cancelled: stop the whole search
@@ -578,44 +633,14 @@ func (s *search) visit() bool {
 		s.truncated = true
 		return false
 	}
-	if s.shared == nil {
-		s.stats.NodesVisited++
-		if s.stats.NodesVisited >= s.opts.MaxNodes {
-			// Stop the whole search, not just this branch.
-			s.done = true
-			s.truncated = true
-			return false
-		}
-		return true
-	}
-	// A task with a DFS index above an already-completed first-fit task can
-	// no longer influence the result: its completion would lose the
-	// canonical-order tie-break.
-	if s.opts.FirstFit && s.shared.ffMin.Load() < int64(s.task) {
-		s.done = true
-		return false
-	}
-	if s.shared.nodes.Add(1) > int64(s.opts.MaxNodes) {
+	s.stats.NodesVisited++
+	if s.stats.NodesVisited >= s.opts.MaxNodes {
+		// Stop the whole search, not just this branch.
 		s.done = true
 		s.truncated = true
 		return false
 	}
-	s.stats.NodesVisited++
 	return true
-}
-
-// shouldPrune applies the bounding rule to a partial-solution lower bound.
-// The sequential search compares against its own incumbent. Workers also
-// consult the shared incumbent, with a tie rule that preserves the
-// sequential result exactly: a subtree whose bound *equals* the incumbent
-// cost may only be pruned when the incumbent came from a task at or before
-// this one in depth-first order — an equal-cost mapping found in a later
-// subtree must not suppress the canonical (first-in-DFS-order) optimum.
-func (s *search) shouldPrune(lb float64) bool {
-	if s.shared != nil && s.shared.bound != nil && s.shared.bound.shouldPrune(lb, s.task) {
-		return true
-	}
-	return lb >= s.bestArea
 }
 
 func (s *search) run() {
@@ -630,27 +655,25 @@ func (s *search) run() {
 		s.complete()
 		return
 	}
-	// NOTE: the branch enumeration below (candidate order, conflict and
-	// feasibility filters, share-before-alloc) is mirrored by the parallel
-	// splitter's expand() in parallel.go; keep the two in sync.
-	for _, match := range s.matchTab[cur] {
+	for _, c := range s.cands[cur] {
+		match := c.match
 		if s.conflicts(match) {
 			continue
 		}
-		cost, ok := s.matchCost(match)
+		cost, ok := s.matchCost(c)
 		if !ok {
 			continue
 		}
 		// Sharing branch: reuse an identical component in the netlist.
 		if !s.opts.NoSharing {
-			if existing := s.findShared(match); existing != nil {
+			if existing := s.findShared(c.sig); existing != nil {
 				s.place(match, existing, 0)
-				s.descend(match, "share "+match.Name, func() { s.run() })
+				s.descend("share ", match)
 				s.unplace(match, existing, 0)
 			}
 		}
 		// Dedicated allocation with the bounding rule.
-		if !s.opts.NoBounding && s.shouldPrune(s.bound(match)) {
+		if !s.opts.NoBounding && s.bound(match) >= s.bestArea {
 			s.stats.Pruned++
 			if s.cursor != nil {
 				s.cursor.Children = append(s.cursor.Children, &TreeNode{
@@ -662,29 +685,31 @@ func (s *search) run() {
 			}
 			continue
 		}
-		a := &alloc{match: match, sig: sigOf(match), area: cost.area, power: cost.power, cost: cost.area}
+		a := &alloc{match: match, sig: c.sig, area: cost.area, power: cost.power, cost: cost.area}
 		if s.opts.Objective == MinimizePower {
 			a.cost = cost.power
 		}
 		s.allocs = append(s.allocs, a)
 		s.place(match, a, match.OpAmps)
-		s.descend(match, "alloc "+match.Name, func() { s.run() })
+		s.descend("alloc ", match)
 		s.unplace(match, a, match.OpAmps)
 		s.allocs = s.allocs[:len(s.allocs)-1]
 	}
 }
 
-// descend wraps recursion with decision-tree tracing.
-func (s *search) descend(match *patterns.Match, decision string, f func()) {
+// descend recurses into the branch that placed match. Under tracing it
+// records the decision (verb and pattern) as a child of the cursor; the
+// string is built only then.
+func (s *search) descend(verb string, match *patterns.Match) {
 	if s.cursor == nil {
-		f()
+		s.run()
 		return
 	}
-	node := &TreeNode{Block: match.Root.Name, Decision: decision, OpAmps: s.opamps}
+	node := &TreeNode{Block: match.Root.Name, Decision: verb + match.Name, OpAmps: s.opamps}
 	s.cursor.Children = append(s.cursor.Children, node)
 	saved := s.cursor
 	s.cursor = node
-	f()
+	s.run()
 	s.cursor = saved
 }
 
@@ -734,9 +759,8 @@ func (s *search) unplace(match *patterns.Match, a *alloc, opamps int) {
 // findShared locates an existing allocation with the same pattern,
 // parameters and input nets ("blocks in distinct signal paths can share the
 // same component, if they have identical inputs, and perform similar
-// operations").
-func (s *search) findShared(match *patterns.Match) *alloc {
-	sig := sigOf(match)
+// operations"): the same sharing signature.
+func (s *search) findShared(sig int) *alloc {
 	for _, a := range s.allocs {
 		if a.uses > 0 && a.sig == sig {
 			return a
@@ -768,13 +792,13 @@ func sigOf(m *patterns.Match) string {
 	return b.String()
 }
 
-// matchCost estimates (and caches) the area and power of a dedicated
-// component for the match; infeasible specs reject the match.
-func (s *search) matchCost(match *patterns.Match) (cellCost, bool) {
-	sig := sigOf(match)
-	if c, ok := s.costOf[sig]; ok {
-		return c, c.ok
+// matchCost estimates (and caches per signature) the area and power of a
+// dedicated component for the candidate; infeasible specs reject it.
+func (s *search) matchCost(c candidate) (cellCost, bool) {
+	if cost := s.costs[c.sig]; cost.known {
+		return cost, cost.ok
 	}
+	match := c.match
 	inst := estimate.CellInstance{
 		Cell:    match.Cell,
 		Gain:    maxGain(match),
@@ -784,22 +808,18 @@ func (s *search) matchCost(match *patterns.Match) (cellCost, bool) {
 	}
 	est, err := estimate.EstimateCell(s.opts.Process, s.opts.System, inst)
 	if err != nil {
-		if !s.frozenCost {
-			s.costOf[sig] = cellCost{}
-		}
+		s.costs[c.sig] = cellCost{known: true}
 		if s.err == nil {
 			s.err = err
 		}
 		return cellCost{}, false
 	}
-	cost := cellCost{area: est.AreaUm2, power: est.Power, ok: true}
+	cost := cellCost{area: est.AreaUm2, power: est.Power, ok: true, known: true}
 	if n := match.Params["stages"]; n > 1 {
 		cost.area *= n
 		cost.power *= n
 	}
-	if !s.frozenCost {
-		s.costOf[sig] = cost
-	}
+	s.costs[c.sig] = cost
 	return cost, true
 }
 
@@ -844,9 +864,6 @@ func (s *search) complete() {
 	}
 	if s.opts.FirstFit {
 		s.done = true
-		if s.shared != nil {
-			s.shared.offerFirstFit(s.task)
-		}
 	}
 	if s.cursor != nil {
 		s.cursor.Children = append(s.cursor.Children, &TreeNode{
@@ -855,9 +872,6 @@ func (s *search) complete() {
 			Complete: true,
 			AreaUm2:  area,
 		})
-	}
-	if s.shared != nil && s.shared.bound != nil {
-		s.shared.bound.offer(cost, s.task)
 	}
 	if cost < s.bestArea {
 		s.bestArea = cost

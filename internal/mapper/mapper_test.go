@@ -87,9 +87,7 @@ func TestFig6DecisionTreeHasAlternatives(t *testing.T) {
 }
 
 func TestBoundingReducesNodes(t *testing.T) {
-	// Node-count comparisons reason about the sequential exploration order.
 	seq := DefaultOptions()
-	seq.Workers = 1
 	with := synth(t, buildFig6(), seq)
 	opts := seq
 	opts.NoBounding = true
@@ -106,7 +104,6 @@ func TestBoundingReducesNodes(t *testing.T) {
 
 func TestSequencingFindsOptimumEarly(t *testing.T) {
 	seq := DefaultOptions()
-	seq.Workers = 1
 	good := synth(t, buildFig6(), seq)
 	opts := seq
 	opts.NoSequencing = true
@@ -357,5 +354,77 @@ func TestFormatTree(t *testing.T) {
 	}
 	if !strings.Contains(text, "op amps") {
 		t.Errorf("tree missing op amp annotations:\n%s", text)
+	}
+}
+
+// buildTie constructs a two-part design whose first part has two mappings
+// of equal cost. y1 = g1 + b with g1 = 1*a, and y2 = g2 = 1*a: either the
+// summing amplifier absorbs g1 and g2 gets its own follower, or a plain
+// summer reads g1's follower, which g2 shares. Both cost one summer and one
+// follower. The second part, y3 = 3*c, shares nothing with the first.
+func buildTie() *vhif.Module {
+	g := vhif.NewGraph("main")
+	a := g.AddBlock(vhif.BInput, "a")
+	b := g.AddBlock(vhif.BInput, "b")
+	c := g.AddBlock(vhif.BInput, "c")
+	g1 := g.AddBlock(vhif.BGain, "g1", a.Out)
+	g1.Param = 1
+	add := g.AddBlock(vhif.BAdd, "add", g1.Out, b.Out)
+	g2 := g.AddBlock(vhif.BGain, "g2", a.Out)
+	g2.Param = 1
+	g3 := g.AddBlock(vhif.BGain, "g3", c.Out)
+	g3.Param = 3
+	g.AddBlock(vhif.BOutput, "y1", add.Out)
+	g.AddBlock(vhif.BOutput, "y2", g2.Out)
+	g.AddBlock(vhif.BOutput, "y3", g3.Out)
+	return &vhif.Module{Name: "tie", Graphs: []*vhif.Graph{g}}
+}
+
+// TestPartsTieKeepsFirstMapping pins the tie rule of the parts search:
+// each part keeps the first of its equal-cost mappings in block order, as
+// the one-part search does.
+func TestPartsTieKeepsFirstMapping(t *testing.T) {
+	m := buildTie()
+	if n := len(newSearch(m, DefaultOptions()).parts()); n != 2 {
+		t.Fatalf("tie design split into %d parts, want 2", n)
+	}
+	all := DefaultOptions()
+	all.NoBounding = true
+	all.Trace = true
+	min, ties := 1e300, 0
+	var walk func(n *TreeNode)
+	walk = func(n *TreeNode) {
+		if n.Complete {
+			switch {
+			case n.AreaUm2 < min:
+				min, ties = n.AreaUm2, 1
+			case n.AreaUm2 == min:
+				ties++
+			}
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(synth(t, m, all).Tree)
+	if ties != 2 {
+		t.Fatalf("%d mappings share the minimum area %g, want 2", ties, min)
+	}
+
+	parts := synth(t, m, DefaultOptions())
+	one := DefaultOptions()
+	one.Trace = true
+	if p, o := parts.Netlist.Dump(), synth(t, m, one).Netlist.Dump(); p != o {
+		t.Fatalf("parts and one-part netlists differ\n--- parts ---\n%s\n--- one part ---\n%s", p, o)
+	}
+	// The first mapping in block order: the summer at add absorbs g1, and
+	// g2 gets its own follower.
+	for _, c := range parts.Netlist.Components {
+		if c.Name == "g1" || c.Shared {
+			t.Fatalf("parts search kept the later equal-cost mapping\n%s", parts.Netlist.Dump())
+		}
+	}
+	if parts.Report.AreaUm2 != min {
+		t.Errorf("area %g, want the minimum %g", parts.Report.AreaUm2, min)
 	}
 }

@@ -439,7 +439,7 @@ func (p *Pipeline) materialize(mv *mapValue, m *vhif.Module, opts mapper.Options
 
 // mapHeader identifies (and versions) the on-disk map artifact: a stats
 // line, then the netlist.Encode text (which carries its own header).
-const mapHeader = "vase-map v1"
+const mapHeader = "vase-map v2"
 
 var mapCodec = &codec{
 	encode: func(v any) ([]byte, error) {
@@ -448,10 +448,10 @@ var mapCodec = &codec{
 			return nil, fmt.Errorf("pipeline: live map value is not serializable")
 		}
 		s := mv.Stats
-		return []byte(fmt.Sprintf("%s\nstats %d %d %d %d %d %g %d %d %d\n%s",
+		return []byte(fmt.Sprintf("%s\nstats %d %d %d %d %d %g %d\n%s",
 			mapHeader,
 			s.NodesVisited, s.CompleteMappings, s.Pruned, s.Infeasible,
-			s.BestOpAmps, s.BestAreaUm2, s.Workers, s.Tasks,
+			s.BestOpAmps, s.BestAreaUm2,
 			s.Elapsed.Nanoseconds(),
 			mv.Data)), nil
 	},
@@ -466,7 +466,7 @@ var mapCodec = &codec{
 			return nil, fmt.Errorf("pipeline: truncated map artifact")
 		}
 		fields := strings.Fields(statsLine)
-		if len(fields) != 10 || fields[0] != "stats" {
+		if len(fields) != 8 || fields[0] != "stats" {
 			return nil, fmt.Errorf("pipeline: map artifact has malformed stats line %q", statsLine)
 		}
 		var s mapper.Stats
@@ -483,16 +483,9 @@ var mapCodec = &codec{
 			return nil, fmt.Errorf("pipeline: map artifact area %q: %w", fields[6], err)
 		}
 		s.BestAreaUm2 = area
-		for i, dst := range []*int{&s.Workers, &s.Tasks} {
-			n, err := strconv.Atoi(fields[i+7])
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: map artifact stats field %q: %w", fields[i+7], err)
-			}
-			*dst = n
-		}
-		ns, err := strconv.ParseInt(fields[9], 10, 64)
+		ns, err := strconv.ParseInt(fields[7], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: map artifact elapsed %q: %w", fields[9], err)
+			return nil, fmt.Errorf("pipeline: map artifact elapsed %q: %w", fields[7], err)
 		}
 		s.Elapsed = time.Duration(ns)
 		// Validate the payload now so a corrupt artifact registers as a

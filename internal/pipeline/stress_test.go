@@ -42,7 +42,6 @@ func TestConcurrentClientsOnePipeline(t *testing.T) {
 	)
 	p := newPipe(t, Options{})
 	opts := mapper.DefaultOptions()
-	opts.Workers = 1 // keep the search itself sequential; the stress is on the pipeline
 
 	dumps := make([][]string, distinct)
 	for i := range dumps {

@@ -159,7 +159,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) *httpError {
 type synthesizeRequest struct {
 	Name      string `json:"name"`
 	Source    string `json:"source"`
-	Workers   int    `json:"workers"`   // requested search workers (0 = server decides)
+	Workers   int    `json:"workers"`   // accepted and ignored: the search is sequential
 	MaxNodes  int    `json:"max_nodes"` // search node budget (0 = default)
 	TimeoutMS int    `json:"timeout_ms"`
 }
@@ -168,7 +168,6 @@ type searchStatsJSON struct {
 	NodesVisited     int   `json:"nodes_visited"`
 	CompleteMappings int   `json:"complete_mappings"`
 	Pruned           int   `json:"pruned"`
-	Workers          int   `json:"workers"`
 	ElapsedUS        int64 `json:"elapsed_us"`
 }
 
@@ -193,6 +192,9 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) *httpE
 	if req.Source == "" {
 		return errorf(http.StatusBadRequest, "source is required")
 	}
+	if req.MaxNodes < 0 {
+		return errorf(http.StatusBadRequest, "max_nodes must be >= 0 (0 = default), got %d", req.MaxNodes)
+	}
 	if req.Name == "" {
 		req.Name = "input.vhd"
 	}
@@ -201,12 +203,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) *httpE
 
 	opts := mapper.DefaultOptions()
 	opts.MaxNodes = req.MaxNodes
-	// Lease search workers from the shared budget: the grant may be smaller
-	// than the request under load (never zero), and is returned when the
-	// search finishes.
-	granted := s.sched.lease(req.Workers)
-	defer s.sched.release(granted)
-	opts.Workers = granted
 
 	res, cr, cached, err := s.pipe.Synthesize(ctx, req.Name, req.Source, opts)
 	if err != nil {
@@ -231,7 +227,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) *httpE
 			NodesVisited:     res.Stats.NodesVisited,
 			CompleteMappings: res.Stats.CompleteMappings,
 			Pruned:           res.Stats.Pruned,
-			Workers:          res.Stats.Workers,
 			ElapsedUS:        res.Stats.Elapsed.Microseconds(),
 		},
 		Front:    cr.Stats,
@@ -356,11 +351,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) *httpErr
 // tier never runs the solver again. The response carries the port
 // waveforms (polarity-corrected), named like the behavioral level's.
 func (s *Server) handleSimulateCircuit(ctx context.Context, w http.ResponseWriter, cr *pipeline.CompileResult, req simulateRequest, tier mna.SolverMode) *httpError {
-	opts := mapper.DefaultOptions()
-	granted := s.sched.lease(1)
-	defer s.sched.release(granted)
-	opts.Workers = granted
-	res, _, err := s.pipe.SynthesizeText(ctx, cr.Module, cr.Text, opts)
+	res, _, err := s.pipe.SynthesizeText(ctx, cr.Module, cr.Text, mapper.DefaultOptions())
 	if err != nil {
 		return ctxError(ctx, err)
 	}

@@ -52,8 +52,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "vased_degraded_total %d\n", s.met.degraded.Load())
 	fmt.Fprintf(w, "vased_inflight %d\n", s.met.inflight.Load())
 	fmt.Fprintf(w, "vased_queued %d\n", s.adm.depth())
-	fmt.Fprintf(w, "vased_workers_available %d\n", s.sched.available())
-	fmt.Fprintf(w, "vased_worker_budget %d\n", s.cfg.WorkerBudget)
 
 	s.met.mu.Lock()
 	keys := make([]string, 0, len(s.met.requests))

@@ -25,10 +25,6 @@
 //     QueueDepth more wait up to QueueWait for a slot. Beyond that the
 //     server sheds load with 429 + Retry-After rather than queueing
 //     unboundedly (a saturated queue would miss every deadline anyway).
-//   - Worker scheduling: synthesize requests lease branch-and-bound workers
-//     from a shared budget, so one large request cannot monopolize every
-//     core while others starve; an out-of-budget request degrades to a
-//     sequential search instead of blocking.
 //   - Deadlines as SLOs: every request runs under a deadline (client-chosen,
 //     clamped to MaxDeadline). The anytime synthesis contract turns an
 //     expired deadline into the best incumbent netlist with "degraded":
@@ -48,7 +44,6 @@ import (
 	"runtime"
 	"time"
 
-	"vase/internal/mapper"
 	"vase/internal/pipeline"
 	"vase/internal/project"
 )
@@ -72,9 +67,6 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline clamps client-chosen deadlines (0 = 5m).
 	MaxDeadline time.Duration
-	// WorkerBudget is the shared branch-and-bound worker pool arbitrated
-	// across concurrent synthesize requests (0 = runtime.GOMAXPROCS(0)).
-	WorkerBudget int
 	// MaxBodyBytes caps request bodies (0 = 4 MiB).
 	MaxBodyBytes int64
 }
@@ -98,9 +90,6 @@ func (c *Config) fillDefaults() {
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = 5 * time.Minute
 	}
-	if c.WorkerBudget <= 0 {
-		c.WorkerBudget = mapper.EffectiveWorkers(0)
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
 	}
@@ -108,13 +97,12 @@ func (c *Config) fillDefaults() {
 
 // Server is the vased HTTP handler. Construct with New.
 type Server struct {
-	cfg   Config
-	pipe  *pipeline.Pipeline
-	proj  *project.Project
-	adm   *admission
-	sched *scheduler
-	met   *metrics
-	mux   *http.ServeMux
+	cfg  Config
+	pipe *pipeline.Pipeline
+	proj *project.Project
+	adm  *admission
+	met  *metrics
+	mux  *http.ServeMux
 }
 
 // New builds a Server over the given pipeline.
@@ -124,13 +112,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.fillDefaults()
 	s := &Server{
-		cfg:   cfg,
-		pipe:  cfg.Pipeline,
-		proj:  project.New(cfg.Pipeline),
-		adm:   newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.QueueWait),
-		sched: newScheduler(cfg.WorkerBudget),
-		met:   newMetrics(),
-		mux:   http.NewServeMux(),
+		cfg:  cfg,
+		pipe: cfg.Pipeline,
+		proj: project.New(cfg.Pipeline),
+		adm:  newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.QueueWait),
+		met:  newMetrics(),
+		mux:  http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/v1/parse", s.admitted("parse", s.handleParse))
 	s.mux.HandleFunc("/v1/lint", s.admitted("lint", s.handleLint))

@@ -400,34 +400,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`vased_requests_total{endpoint="parse",code="429"} 1`,
 		`vase_stage_requests_total{stage="compile",kind="miss"} 1`,
 		`vase_stage_compute_seconds_bucket{stage="compile",le="+Inf"} 1`,
-		"vased_worker_budget",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestSchedulerLease(t *testing.T) {
-	s := newScheduler(4)
-	if got := s.lease(3); got != 3 {
-		t.Fatalf("lease(3) = %d, want 3", got)
-	}
-	if got := s.lease(3); got != 1 {
-		t.Fatalf("lease(3) with 1 available = %d, want 1", got)
-	}
-	// Budget exhausted: the floor guarantees one worker, oversubscribing.
-	if got := s.lease(5); got != 1 {
-		t.Fatalf("lease(5) with 0 available = %d, want 1", got)
-	}
-	if avail := s.available(); avail != -1 {
-		t.Fatalf("available = %d, want -1", avail)
-	}
-	s.release(3)
-	s.release(1)
-	s.release(1)
-	if avail := s.available(); avail != 4 {
-		t.Fatalf("after release, available = %d, want 4", avail)
 	}
 }
 
@@ -455,22 +431,36 @@ func TestAdmissionCancelledWhileQueued(t *testing.T) {
 	}
 }
 
-// TestWorkersGrantedUnderLoad checks the scheduler is actually wired into
-// the synthesize path: a request on a 1-worker budget runs sequentially.
-func TestWorkersGrantedUnderLoad(t *testing.T) {
-	s := newTestServer(t, Config{WorkerBudget: 1})
-	rec, out := post(t, s, "/v1/synthesize", map[string]any{
-		"name": "mixer.vhd", "source": mixerSrc, "workers": 8,
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("synthesize: status %d", rec.Code)
+// TestWorkersFieldIgnored checks the synthesize request still accepts the
+// "workers" field that existing clients send, and that it changes nothing:
+// the search is sequential.
+func TestWorkersFieldIgnored(t *testing.T) {
+	synthesize := func(body map[string]any) string {
+		t.Helper()
+		rec, out := post(t, newTestServer(t, Config{}), "/v1/synthesize", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("synthesize %v: status %d, body %s", body["workers"], rec.Code, rec.Body)
+		}
+		nl, _ := out["netlist"].(string)
+		return nl
 	}
-	search, _ := out["search"].(map[string]any)
-	if w, _ := search["workers"].(float64); w != 1 {
-		t.Errorf("search ran with %v workers on a budget of 1", search["workers"])
+	want := synthesize(map[string]any{"name": "mixer.vhd", "source": mixerSrc})
+	if got := synthesize(map[string]any{"name": "mixer.vhd", "source": mixerSrc, "workers": 8}); got != want {
+		t.Errorf("netlist with \"workers\": 8 differs:\n%s\nwant:\n%s", got, want)
 	}
-	if s.sched.available() != 1 {
-		t.Errorf("workers not returned to the pool: available = %d", s.sched.available())
+}
+
+// TestSynthesizeRejectsNegativeMaxNodes checks a negative node budget is a
+// bad request, not a search cut off after a few nodes and answered as
+// degraded.
+func TestSynthesizeRejectsNegativeMaxNodes(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rec, _ := post(t, s, "/v1/synthesize", map[string]any{"name": "mixer.vhd", "source": mixerSrc, "max_nodes": -5})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("max_nodes -5: status %d, want 400; body %s", rec.Code, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "max_nodes") {
+		t.Errorf("400 body does not name the field: %s", rec.Body)
 	}
 }
 

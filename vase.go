@@ -299,8 +299,9 @@ func Synthesize(ctx context.Context, p *Pipeline, src Source, opts SynthesisOpti
 }
 
 // SynthesisOptions re-exports the architecture generator configuration.
-// Workers selects the parallel search width (0 = all CPUs, 1 = sequential);
-// every worker count returns the identical netlist.
+// The search runs the design's independent parts one at a time; Trace
+// searches it as one part and returns the same netlist. Workers is
+// deprecated and ignored.
 type SynthesisOptions = mapper.Options
 
 // DefaultSynthesisOptions returns the standard configuration (SCN 2.0 µm
