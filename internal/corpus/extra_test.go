@@ -208,25 +208,27 @@ func TestWindowDetectorCaseUse(t *testing.T) {
 	}
 }
 
+// extraInputs drives each extra design over a 4 ms window.
+var extraInputs = map[string]map[string]sim.Source{
+	"pid":        {"sp": sim.Sine(0.5, 200, 0), "pv": sim.DC(0.1)},
+	"svf":        {"vin": sim.Sine(0.5, 1e3, 0)},
+	"envelope":   {"vin": sim.Sine(1.0, 10e3, 0)},
+	"ratiometer": {"num": sim.Sine(0.5, 1e3, 0), "den": sim.DC(0.5)},
+	"sqrt":       {"u": sim.DC(4.0)},
+	"window":     {"vin": sim.Sine(1.0, 500, 0)},
+}
+
 func TestExtrasModuleNetlistEquivalence(t *testing.T) {
-	inputs := map[string]map[string]sim.Source{
-		"pid":        {"sp": sim.Sine(0.5, 200, 0), "pv": sim.DC(0.1)},
-		"svf":        {"vin": sim.Sine(0.5, 1e3, 0)},
-		"envelope":   {"vin": sim.Sine(1.0, 10e3, 0)},
-		"ratiometer": {"num": sim.Sine(0.5, 1e3, 0), "den": sim.DC(0.5)},
-		"sqrt":       {"u": sim.DC(4.0)},
-		"window":     {"vin": sim.Sine(1.0, 500, 0)},
-	}
 	for _, app := range Extras() {
 		app := app
 		t.Run(app.Key, func(t *testing.T) {
 			m, res := buildExtra(t, app.Key)
 			opts := sim.Options{TStop: 4e-3, TStep: 1e-6}
-			trM, err := sim.SimulateModule(m, inputs[app.Key], opts)
+			trM, err := sim.SimulateModule(m, extraInputs[app.Key], opts)
 			if err != nil {
 				t.Fatalf("module sim: %v", err)
 			}
-			trN, err := sim.SimulateNetlist(res.Netlist, inputs[app.Key], opts)
+			trN, err := sim.SimulateNetlist(res.Netlist, extraInputs[app.Key], opts)
 			if err != nil {
 				t.Fatalf("netlist sim: %v", err)
 			}
