@@ -104,9 +104,11 @@ func TestCancelledSimulationReturnsPartialTrace(t *testing.T) {
 func TestDeadlineTruncatesLongSimulation(t *testing.T) {
 	m := rampModule(t)
 	start := time.Now()
-	// ~1e9 steps unbounded; the 20 ms deadline must cut it short.
-	tr, err := SimulateModule(m, map[string]Source{"u": DC(1)},
-		Options{TStop: 1e3, TStep: 1e-6, Deadline: 20 * time.Millisecond})
+	// ~1e9 steps unbounded; the 20 ms context deadline must cut it short.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	tr, err := SimulateModuleContext(ctx, m, map[string]Source{"u": DC(1)},
+		Options{TStop: 1e3, TStep: 1e-6})
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}

@@ -22,26 +22,161 @@ func SimulateNetlist(nl *netlist.Netlist, inputs map[string]Source, opts Options
 // is observed between RK4 steps and returns the truncated trace computed
 // so far (Trace.Truncated) rather than an error.
 func SimulateNetlistContext(ctx context.Context, nl *netlist.Netlist, inputs map[string]Source, opts Options) (*Trace, error) {
-	s, err := newNetSim(nl, inputs, opts)
+	p, err := lowerNetlist(nl, inputs, opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx)
+	return p.run(ctx)
 }
 
-// netState is one dynamic component: integrator (1 state), low-pass filter
-// (1 state), band-pass filter (2 states), or — under ModelBandwidth — an
-// amplifier with its closed-loop pole (1 state, pole > 0).
-type netState struct {
-	c      *netlist.Component
-	offset int
-	n      int
-	pole   float64 // closed-loop pole, rad/s (0 for exact elements)
+// cellOps maps the cells whose op needs no parameter.
+var cellOps = map[library.CellKind]opcode{
+	library.CellFollower: opCopy, library.CellMultiplier: opProd, library.CellDivider: opDiv,
+	library.CellSqrt: opSqrt, library.CellRectifier: opAbs, library.CellSineShaper: opSin,
+	library.CellSwitch: opSwitch, library.CellMux: opMux,
+}
+
+// lowerNetlist lowers the netlist: its constant nets, then its input
+// sources, then its cells in topological order.
+func lowerNetlist(nl *netlist.Netlist, inputs map[string]Source, opts Options) (*program, error) {
+	p, err := newProgram(opts, "netlist state")
+	if err != nil {
+		return nil, err
+	}
+	slot := slotter[*netlist.Net](p)
+	var sources []op
+	probes := map[string]int{}
+	for _, pt := range nl.Ports {
+		if pt.Dir == netlist.In {
+			src, ok := inputs[pt.Name]
+			if !ok {
+				return nil, fmt.Errorf("sim: no source for netlist input %q", pt.Name)
+			}
+			sources = append(sources, op{code: opSource, out: slot(pt.Net), src: src})
+		} else {
+			probes[pt.Name] = slot(pt.Net)
+		}
+	}
+	for _, name := range opts.Probes {
+		for _, n := range nl.Nets {
+			if n.Name == name {
+				probes[name] = slot(n)
+			}
+		}
+	}
+	byName := map[string]int{}
+	for _, n := range nl.Nets {
+		byName[n.Name] = slot(n)
+	}
+	for name, s := range probes { //vase:unordered (per-key writes; probe names are unique)
+		byName[name] = s
+	}
+	if err := p.bind(opts.Probes, probes, byName); err != nil {
+		return nil, err
+	}
+	order, err := nl.Topological()
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range nl.Nets {
+		if n.Const != nil {
+			p.emit(op{code: opConst, out: slot(n), k: *n.Const})
+		}
+	}
+	for _, o := range sources {
+		p.emit(o)
+	}
+	for _, c := range order {
+		p.lowerCell(c, opts.ModelBandwidth, slot)
+	}
+	return p, nil
+}
+
+// lowerCell appends the op of one cell, with its state or latch.
+func (p *program) lowerCell(c *netlist.Component, modelBandwidth bool, slot func(*netlist.Net) int) {
+	o := op{out: slot(c.Out), a: inputSlot(c.Inputs, 0, slot), b: inputSlot(c.Inputs, 1, slot), ctrl: slot(c.Ctrl), k: 1}
+	switch c.Cell.Kind {
+	case library.CellInvAmp, library.CellNonInvAmp:
+		o.code, o.k = opScale, c.Param("gain", 1)
+	case library.CellSummingAmp, library.CellDiffAmp:
+		o.code, o.in, o.w = opSum, slotsOf(c.Inputs, slot), gains(c)
+	case library.CellPGA:
+		o.code, o.k, o.k2 = opPGA, c.Param("gain_on", 1), c.Param("gain_off", 1)
+	case library.CellMultiplier:
+		o.code, o.in = opProd, []int{o.a, o.b}
+	case library.CellIntegrator:
+		o.code = opState
+		o.idx = p.addState(state{kind: stateIntegrator, in: slotsOf(c.Inputs, slot), w: gains(c)}, 1)
+	case library.CellLowPass:
+		o.code = opState
+		o.idx = p.addState(state{kind: stateLag, a: o.a, k: 2 * math.Pi * c.Param("fhi", 1)}, 1)
+	case library.CellBandPass:
+		o.code, o.k = opState, bandpassQ(c.Param("fhi", 1), c.Param("flo", 0))
+		w0 := 2 * math.Pi * math.Sqrt(c.Param("fhi", 1)*c.Param("flo", 1))
+		o.idx = p.addState(state{kind: stateBandPass, a: o.a, k: w0, q: o.k}, 2)
+	case library.CellDiff:
+		o.code, o.idx = opDiff, p.addLatch(latch{kind: latchDifferentiator, in: o.a})
+	case library.CellLogAmp:
+		o.code, o.k = opLog, c.Param("scale", 1)
+	case library.CellAntilogAmp:
+		o.code, o.k = opExp, c.Param("scale", 1)
+	case library.CellMinMax:
+		o.code = opMin
+		if c.Param("op", 0) > 0.5 {
+			o.code = opMax
+		}
+	case library.CellComparator, library.CellSchmitt:
+		th, hyst := c.Param("threshold", 0), c.Param("hysteresis", 0)
+		o.code, o.inv = opCmp, c.Param("invert", 0) > 0.5
+		o.idx = p.addLatch(latch{kind: latchComparator, in: o.a, th: th, lo: th - hyst, hi: th + hyst})
+	case library.CellSampleHold:
+		// Clocked semantics matching the VHIF level: the output is the
+		// previous sample.
+		o.code, o.idx = opHold, p.addLatch(latch{kind: latchSampleHold, in: o.a, ctrl: o.ctrl})
+	case library.CellADC:
+		o.code, o.k = opADC, adcStep(c.Param("bits", 8))
+	case library.CellOutputStage:
+		o.code = opCopy
+		if lim := c.Param("limit", 0); lim > 0 {
+			o.code, o.k = opClip, lim
+		}
+	case library.CellLimiter:
+		o.code, o.k = opClip, c.Param("limit", 1.5)
+	default:
+		code, ok := cellOps[c.Cell.Kind]
+		if !ok {
+			code, o.k = opConst, 0
+		}
+		o.code = code
+	}
+	if modelBandwidth && c.Cell.Kind.IsAmplifier() && c.Estimate != nil && len(c.Estimate.OpAmps) > 0 {
+		// Finite gain-bandwidth: the ideal value goes to a private slot, and
+		// the output lags it with a closed-loop pole at UGF/noise-gain. A
+		// cell without a positive pole holds its output at 0.
+		lag := state{kind: stateLag, a: p.newSlot(), k: ampPole(c)}
+		if !(lag.k > 0) {
+			lag = state{kind: stateIntegrator}
+		}
+		out := o.out
+		o.out = lag.a
+		p.emit(o)
+		o = op{code: opState, out: out, idx: p.addState(lag, 1), k: 1}
+	}
+	p.emit(o)
+}
+
+// gains resolves a cell's per-input weights gain0, gain1, ... (default 1).
+func gains(c *netlist.Component) []float64 {
+	w := make([]float64, len(c.Inputs))
+	for i := range w {
+		w[i] = c.Param(fmt.Sprintf("gain%d", i), 1)
+	}
+	return w
 }
 
 // ampPole derives the closed-loop pole of a sized amplifier: omega =
 // 2*pi*UGF / noiseGain, with the inverting noise gain 1 + sum|w_i|.
-func (s *netSim) ampPole(c *netlist.Component) float64 {
+func ampPole(c *netlist.Component) float64 {
 	noise := 1.0
 	switch c.Cell.Kind {
 	case library.CellInvAmp, library.CellNonInvAmp:
@@ -49,404 +184,9 @@ func (s *netSim) ampPole(c *netlist.Component) float64 {
 	case library.CellPGA:
 		noise += math.Max(math.Abs(c.Param("gain_on", 1)), math.Abs(c.Param("gain_off", 1)))
 	default:
-		for i := range c.Inputs {
-			noise += math.Abs(c.Param(fmt.Sprintf("gain%d", i), 1))
+		for _, g := range gains(c) {
+			noise += math.Abs(g)
 		}
 	}
 	return 2 * math.Pi * c.Estimate.OpAmps[0].AchievedUGF / noise
-}
-
-// ampIdeal computes the instantaneous ideal output of an amplifier cell.
-func ampIdeal(c *netlist.Component, vals map[*netlist.Net]float64) float64 {
-	in := func(i int) float64 {
-		if i < len(c.Inputs) {
-			return vals[c.Inputs[i]]
-		}
-		return 0
-	}
-	switch c.Cell.Kind {
-	case library.CellInvAmp, library.CellNonInvAmp:
-		return c.Param("gain", 1) * in(0)
-	case library.CellFollower:
-		return in(0)
-	case library.CellPGA:
-		g := c.Param("gain_off", 1)
-		if c.Ctrl != nil && vals[c.Ctrl] > 0.5 {
-			g = c.Param("gain_on", 1)
-		}
-		return g * in(0)
-	default: // summing / difference amplifiers
-		out := 0.0
-		for i := range c.Inputs {
-			out += c.Param(fmt.Sprintf("gain%d", i), 1) * in(i)
-		}
-		return out
-	}
-}
-
-type netSim struct {
-	nl    *netlist.Netlist
-	opts  Options
-	order []*netlist.Component
-	srcs  map[*netlist.Net]Source
-	// dynamic components in order.
-	states  []netState
-	nStates int
-
-	cmpState map[*netlist.Component]bool
-	shState  map[*netlist.Component]float64
-	prevIn   map[*netlist.Component]float64
-
-	probes map[string]*netlist.Net
-	// byName resolves any net for Options.OnSample probes.
-	byName map[string]*netlist.Net
-
-	// vals is eval's single scratch buffer, reused (cleared, not
-	// reallocated) across the four derivative evaluations of every RK4
-	// step; see eval for the aliasing contract.
-	vals map[*netlist.Net]float64
-}
-
-func newNetSim(nl *netlist.Netlist, inputs map[string]Source, opts Options) (*netSim, error) {
-	if opts.TStop <= 0 || opts.TStep <= 0 {
-		return nil, fmt.Errorf("sim: TStop and TStep must be positive")
-	}
-	s := &netSim{
-		nl:       nl,
-		opts:     opts,
-		srcs:     map[*netlist.Net]Source{},
-		cmpState: map[*netlist.Component]bool{},
-		shState:  map[*netlist.Component]float64{},
-		prevIn:   map[*netlist.Component]float64{},
-		probes:   map[string]*netlist.Net{},
-	}
-	for _, p := range nl.Ports {
-		if p.Dir == netlist.In {
-			src, ok := inputs[p.Name]
-			if !ok {
-				return nil, fmt.Errorf("sim: no source for netlist input %q", p.Name)
-			}
-			s.srcs[p.Net] = src
-		} else {
-			s.probes[p.Name] = p.Net
-		}
-	}
-	for _, name := range opts.Probes {
-		for _, n := range nl.Nets {
-			if n.Name == name {
-				s.probes[name] = n
-			}
-		}
-	}
-	valid := map[string]bool{}
-	for _, n := range nl.Nets {
-		valid[n.Name] = true
-	}
-	for name := range s.probes { //vase:unordered (per-key set insertion)
-		valid[name] = true
-	}
-	if err := checkProbes(opts.Probes, valid); err != nil {
-		return nil, err
-	}
-	var err error
-	s.order, err = nl.Topological()
-	if err != nil {
-		return nil, err
-	}
-	s.byName = map[string]*netlist.Net{}
-	for _, n := range nl.Nets {
-		s.byName[n.Name] = n
-	}
-	for name, n := range s.probes { //vase:unordered (per-key writes; probe names are unique)
-		s.byName[name] = n
-	}
-	for _, c := range s.order {
-		switch {
-		case c.Cell.Kind == library.CellIntegrator || c.Cell.Kind == library.CellLowPass:
-			s.states = append(s.states, netState{c: c, offset: s.nStates, n: 1})
-			s.nStates++
-		case c.Cell.Kind == library.CellBandPass:
-			s.states = append(s.states, netState{c: c, offset: s.nStates, n: 2})
-			s.nStates += 2
-		case opts.ModelBandwidth && c.Cell.Kind.IsAmplifier() && c.Estimate != nil && len(c.Estimate.OpAmps) > 0:
-			// Finite gain-bandwidth: the amplifier output lags its ideal
-			// value with a closed-loop pole at UGF/noise-gain.
-			s.states = append(s.states, netState{c: c, offset: s.nStates, n: 1, pole: s.ampPole(c)})
-			s.nStates++
-		}
-	}
-	return s, nil
-}
-
-// eval computes every net value at (t, x) in topological order. The returned
-// map is the simulator's shared scratch buffer: it is valid until the next
-// eval call, which clears and refills it in place. Every caller finishes
-// reading its map before triggering another evaluation (the run loop probes
-// and updates discrete state between derivative evaluations, never across
-// them), so reuse is safe and the per-call allocation — once per RK4
-// substep, on every step — disappears.
-func (s *netSim) eval(t float64, x []float64) map[*netlist.Net]float64 {
-	if s.vals == nil {
-		s.vals = make(map[*netlist.Net]float64, len(s.nl.Nets))
-	}
-	vals := s.vals
-	clear(vals)
-	for _, net := range s.nl.Nets {
-		if net.Const != nil {
-			vals[net] = *net.Const
-		}
-	}
-	for net, src := range s.srcs { //vase:unordered (per-key writes of pure source values)
-		vals[net] = src(t)
-	}
-	stateIdx := 0
-	boolv := func(v bool) float64 {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	for _, c := range s.order {
-		in := func(i int) float64 {
-			if i < len(c.Inputs) {
-				return vals[c.Inputs[i]]
-			}
-			return 0
-		}
-		ctrl := func() bool { return vals[c.Ctrl] > 0.5 }
-		var out float64
-		if s.opts.ModelBandwidth && c.Cell.Kind.IsAmplifier() &&
-			stateIdx < len(s.states) && s.states[stateIdx].c == c {
-			out = x[s.states[stateIdx].offset]
-			stateIdx++
-			if c.Out != nil {
-				vals[c.Out] = out
-			}
-			continue
-		}
-		switch c.Cell.Kind {
-		case library.CellInvAmp, library.CellNonInvAmp:
-			out = c.Param("gain", 1) * in(0)
-		case library.CellFollower:
-			out = in(0)
-		case library.CellSummingAmp, library.CellDiffAmp:
-			for i := range c.Inputs {
-				out += c.Param(fmt.Sprintf("gain%d", i), 1) * in(i)
-			}
-		case library.CellPGA:
-			g := c.Param("gain_off", 1)
-			if ctrl() {
-				g = c.Param("gain_on", 1)
-			}
-			out = g * in(0)
-		case library.CellIntegrator, library.CellLowPass:
-			out = x[s.states[stateIdx].offset]
-			stateIdx++
-		case library.CellBandPass:
-			st := s.states[stateIdx]
-			stateIdx++
-			q := netBandpassQ(c)
-			out = x[st.offset] / q
-		case library.CellDiff:
-			out = (in(0) - s.prevIn[c]) / s.opts.TStep
-		case library.CellLogAmp:
-			out = c.Param("scale", 1) * safeLog(in(0))
-		case library.CellAntilogAmp:
-			out = c.Param("scale", 1) * clampExp(in(0))
-		case library.CellMultiplier:
-			out = in(0) * in(1)
-		case library.CellDivider:
-			out = safeDiv(in(0), in(1))
-		case library.CellSqrt:
-			out = math.Sqrt(math.Max(0, in(0)))
-		case library.CellRectifier:
-			out = math.Abs(in(0))
-		case library.CellMinMax:
-			if c.Param("op", 0) > 0.5 {
-				out = math.Max(in(0), in(1))
-			} else {
-				out = math.Min(in(0), in(1))
-			}
-		case library.CellSineShaper:
-			out = math.Sin(in(0))
-		case library.CellComparator, library.CellSchmitt:
-			v := s.cmpState[c]
-			if c.Param("invert", 0) > 0.5 {
-				v = !v
-			}
-			out = boolv(v)
-		case library.CellSampleHold:
-			// Clocked semantics matching the VHIF simulator: the output is
-			// the previous sample.
-			out = s.shState[c]
-		case library.CellSwitch:
-			if ctrl() {
-				out = in(0)
-			}
-		case library.CellMux:
-			if ctrl() {
-				out = in(0)
-			} else {
-				out = in(1)
-			}
-		case library.CellADC:
-			bits := c.Param("bits", 8)
-			const fullScale = 2.5
-			q := fullScale / math.Exp2(bits-1)
-			v := math.Max(-fullScale, math.Min(fullScale, in(0)))
-			out = math.Round(v/q) * q
-		case library.CellOutputStage:
-			out = in(0)
-			if lim := c.Param("limit", 0); lim > 0 {
-				out = math.Max(-lim, math.Min(lim, out))
-			}
-		case library.CellLimiter:
-			lim := c.Param("limit", 1.5)
-			out = math.Max(-lim, math.Min(lim, in(0)))
-		}
-		if c.Out != nil {
-			vals[c.Out] = out
-		}
-	}
-	return vals
-}
-
-func (s *netSim) derivs(t float64, x []float64) []float64 {
-	vals := s.eval(t, x)
-	d := make([]float64, s.nStates)
-	for _, st := range s.states {
-		c := st.c
-		switch c.Cell.Kind {
-		case library.CellIntegrator:
-			sum := 0.0
-			for j := range c.Inputs {
-				sum += c.Param(fmt.Sprintf("gain%d", j), 1) * vals[c.Inputs[j]]
-			}
-			d[st.offset] = sum
-		case library.CellLowPass:
-			wc := 2 * math.Pi * c.Param("fhi", 1)
-			d[st.offset] = wc * (vals[c.Inputs[0]] - x[st.offset])
-		case library.CellBandPass:
-			w0 := 2 * math.Pi * math.Sqrt(c.Param("fhi", 1)*c.Param("flo", 1))
-			q := netBandpassQ(c)
-			bp, lp := x[st.offset], x[st.offset+1]
-			hp := vals[c.Inputs[0]] - lp - bp/q
-			d[st.offset] = w0 * hp
-			d[st.offset+1] = w0 * bp
-		default:
-			if st.pole > 0 {
-				d[st.offset] = st.pole * (ampIdeal(c, vals) - x[st.offset])
-			}
-		}
-	}
-	return d
-}
-
-// netBandpassQ mirrors the VHIF filter's quality derivation.
-func netBandpassQ(c *netlist.Component) float64 {
-	fhi, flo := c.Param("fhi", 1), c.Param("flo", 0)
-	f0 := math.Sqrt(fhi * flo)
-	bw := fhi - flo
-	if bw <= 0 {
-		return 1
-	}
-	q := f0 / bw
-	if q < 0.3 {
-		q = 0.3
-	}
-	return q
-}
-
-func (s *netSim) updateDiscrete(vals map[*netlist.Net]float64) {
-	for _, c := range s.order {
-		switch c.Cell.Kind {
-		case library.CellComparator, library.CellSchmitt:
-			v := vals[c.Inputs[0]]
-			th := c.Param("threshold", 0)
-			hyst := c.Param("hysteresis", 0)
-			st := s.cmpState[c]
-			if st {
-				if v < th-hyst {
-					s.cmpState[c] = false
-				}
-			} else if v > th+hyst {
-				s.cmpState[c] = true
-			}
-		case library.CellSampleHold:
-			if vals[c.Ctrl] > 0.5 {
-				s.shState[c] = vals[c.Inputs[0]]
-			}
-		}
-	}
-}
-
-// updateDifferentiators stores the start-of-step input values so the next
-// step's backward difference spans exactly one step.
-func (s *netSim) updateDifferentiators(vals map[*netlist.Net]float64) {
-	for _, c := range s.order {
-		if c.Cell.Kind == library.CellDiff {
-			s.prevIn[c] = vals[c.Inputs[0]]
-		}
-	}
-}
-
-func (s *netSim) initDiscrete(vals map[*netlist.Net]float64) {
-	for _, c := range s.order {
-		switch c.Cell.Kind {
-		case library.CellComparator, library.CellSchmitt:
-			s.cmpState[c] = vals[c.Inputs[0]] > c.Param("threshold", 0)
-		case library.CellSampleHold:
-			s.shState[c] = vals[c.Inputs[0]]
-		case library.CellDiff:
-			s.prevIn[c] = vals[c.Inputs[0]]
-		}
-	}
-}
-
-func (s *netSim) run(ctx context.Context) (*Trace, error) {
-	n := int(math.Ceil(s.opts.TStop/s.opts.TStep)) + 1
-	tr := &Trace{Signals: map[string][]float64{}}
-	x := make([]float64, s.nStates)
-	v0 := s.eval(0, x)
-	s.initDiscrete(v0)
-
-	h := s.opts.TStep
-	st := newStopper(ctx, s.opts)
-	for step := 0; step < n; step++ {
-		if st.stop(step) {
-			tr.Truncated = true
-			break
-		}
-		t := float64(step) * h
-		vals := s.eval(t, x)
-		tr.Time = append(tr.Time, t)
-		for name, net := range s.probes { //vase:unordered (per-key append into the probe's own series)
-			tr.Signals[name] = append(tr.Signals[name], vals[net])
-		}
-		if s.opts.OnSample != nil {
-			// vals is the shared scratch buffer: it is valid until the next
-			// eval call, so the monitors must run before the RK4 substeps.
-			s.opts.OnSample(t, func(name string) (float64, bool) {
-				n, ok := s.byName[name]
-				if !ok {
-					return 0, false
-				}
-				return vals[n], true
-			})
-		}
-		s.updateDifferentiators(vals)
-		k1 := s.derivs(t, x)
-		k2 := s.derivs(t+h/2, axpy(x, k1, h/2))
-		k3 := s.derivs(t+h/2, axpy(x, k2, h/2))
-		k4 := s.derivs(t+h, axpy(x, k3, h))
-		for i := range x {
-			x[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-			if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
-				return nil, fmt.Errorf("sim: netlist state %d diverged at t=%g", i, t)
-			}
-		}
-		end := s.eval(t+h, x)
-		s.updateDiscrete(end)
-	}
-	return tr, nil
 }

@@ -1,22 +1,22 @@
 // Package sim implements behavioral transient simulation of VHIF modules
 // and synthesized component netlists.
 //
-// Continuous-time behavior is integrated with a fixed-step fourth-order
-// Runge-Kutta method over the state variables (integrator outputs);
-// comparator, Schmitt-trigger and sample-and-hold states are updated at
-// step boundaries with hysteresis, which keeps the combinational network
-// smooth inside a step. Event-driven behavior can additionally be executed
-// through the FSM interpreter, which serves as a reference for the analog
-// control realizations the compiler extracts.
+// Both levels lower their design once per run into one program: every
+// net is a slot of a value array, every block or cell one op with its
+// parameters resolved, and every dynamic element (integrator, inferred
+// low-pass or band-pass filter, and, under Options.ModelBandwidth, an
+// amplifier's closed-loop pole) one state of a fixed-step fourth-order
+// Runge-Kutta integration. Comparator, Schmitt-trigger and sample-and-hold
+// states are updated at step boundaries with hysteresis, which keeps the
+// combinational network smooth inside a step. Event-driven behavior can
+// additionally be executed through the FSM interpreter, which serves as a
+// reference for the analog control realizations the compiler extracts.
 package sim
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
-	"time"
 
 	"vase/internal/vhif"
 )
@@ -60,12 +60,9 @@ type Options struct {
 	Probes []string
 	// MaxSteps bounds the number of integration steps (0 = unlimited).
 	// When it binds, the run returns the samples computed so far with
-	// Trace.Truncated set.
+	// Trace.Truncated set; so does cancelling the context passed to the
+	// Context variants.
 	MaxSteps int
-	// Deadline bounds the wall-clock time of the run (0 = none); it is
-	// applied on top of any context passed to the Context variants and
-	// truncates the trace the same way.
-	Deadline time.Duration
 	// OnSample, when set, is called once per recorded integration step with
 	// the sample time and a probe resolving net names to their values at
 	// that instant (any net of the design, not just the recorded ones; the
@@ -86,8 +83,9 @@ type Options struct {
 type Trace struct {
 	Time    []float64
 	Signals map[string][]float64
-	// Truncated marks a run stopped early by cancellation, a deadline or
-	// Options.MaxSteps: the waveforms hold the samples computed so far.
+	// Truncated marks a run stopped early by cancellation (a context
+	// deadline included) or Options.MaxSteps: the waveforms hold the
+	// samples computed so far.
 	Truncated bool
 }
 
@@ -125,40 +123,6 @@ func (tr *Trace) Min(name string) float64 {
 	return m
 }
 
-// clampExp guards exponential blocks against overflow.
-func clampExp(x float64) float64 {
-	if x > 50 {
-		x = 50
-	}
-	if x < -50 {
-		x = -50
-	}
-	return math.Exp(x)
-}
-
-// safeLog guards log blocks against non-positive inputs (a real log amp
-// saturates).
-func safeLog(x float64) float64 {
-	const eps = 1e-12
-	if x < eps {
-		x = eps
-	}
-	return math.Log(x)
-}
-
-// safeDiv guards dividers against tiny denominators.
-func safeDiv(num, den float64) float64 {
-	const eps = 1e-9
-	if math.Abs(den) < eps {
-		if den < 0 {
-			den = -eps
-		} else {
-			den = eps
-		}
-	}
-	return num / den
-}
-
 // SimulateModule runs a transient analysis of the module's signal-flow
 // graphs. inputs maps input port (quantity) names to sources.
 func SimulateModule(m *vhif.Module, inputs map[string]Source, opts Options) (*Trace, error) {
@@ -170,448 +134,152 @@ func SimulateModule(m *vhif.Module, inputs map[string]Source, opts Options) (*Tr
 // far (Trace.Truncated) rather than an error, matching the anytime
 // contract of the other engines.
 func SimulateModuleContext(ctx context.Context, m *vhif.Module, inputs map[string]Source, opts Options) (*Trace, error) {
-	s, err := newModSim(m, inputs, opts)
+	p, err := lowerModule(m, inputs, opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx)
+	return p.run(ctx)
 }
 
-// stopper decides when a transient loop must stop early: on a bound step
-// budget, a wall-clock deadline, or context cancellation.
-type stopper struct {
-	ctx      context.Context
-	deadline time.Time // zero = none
-	maxSteps int       // 0 = unlimited
+// blockOps maps the VHIF blocks whose op needs no parameter. Log, exp and
+// add lower to the netlist's scaled and weighted forms with scale and
+// weights 1, which compute the same values bit for bit.
+var blockOps = map[vhif.BlockKind]opcode{
+	vhif.BAdd: opSum, vhif.BSub: opSub, vhif.BNeg: opNeg, vhif.BMul: opProd,
+	vhif.BDiv: opDiv, vhif.BLog: opLog, vhif.BExp: opExp, vhif.BSqrt: opSqrt,
+	vhif.BSin: opSin, vhif.BCos: opCos, vhif.BAbs: opAbs, vhif.BMin: opMin,
+	vhif.BMax: opMax, vhif.BSign: opSign, vhif.BSwitch: opSwitch, vhif.BMux: opMux,
+	vhif.BNot: opNot, vhif.BBuffer: opCopy,
 }
 
-func newStopper(ctx context.Context, opts Options) stopper {
-	st := stopper{ctx: ctx, maxSteps: opts.MaxSteps}
-	if opts.Deadline > 0 {
-		st.deadline = time.Now().Add(opts.Deadline) //vase:walltime (anytime deadline)
+// lowerModule lowers the module's graphs, each in topological order, and
+// records its output ports, control signals and requested probes.
+func lowerModule(m *vhif.Module, inputs map[string]Source, opts Options) (*program, error) {
+	p, err := newProgram(opts, "state")
+	if err != nil {
+		return nil, err
 	}
-	return st
-}
-
-// stop reports whether integration step number step may not run.
-func (st *stopper) stop(step int) bool {
-	if st.maxSteps > 0 && step >= st.maxSteps {
-		return true
-	}
-	if st.ctx.Err() != nil {
-		return true
-	}
-	return !st.deadline.IsZero() && time.Now().After(st.deadline) //vase:walltime (anytime deadline)
-}
-
-// checkProbes verifies every requested probe name resolved to a net; the
-// error lists the valid names so a typo is immediately actionable.
-func checkProbes(requested []string, valid map[string]bool) error {
-	var missing []string
-	for _, name := range requested {
-		if !valid[name] {
-			missing = append(missing, name)
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(valid))
-	for name := range valid {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	sort.Strings(missing)
-	return fmt.Errorf("sim: unknown probe net%s %s (valid nets: %s)",
-		plural(len(missing)), strings.Join(missing, ", "), strings.Join(names, ", "))
-}
-
-func plural(n int) string {
-	if n == 1 {
-		return ""
-	}
-	return "s"
-}
-
-// stateBlock is one dynamic element contributing entries to the RK4 state
-// vector: an integrator (1 state) or an inferred filter (1 for low-pass,
-// 2 for band-pass).
-type stateBlock struct {
-	b      *vhif.Block
-	offset int
-	n      int
-}
-
-type modSim struct {
-	m       *vhif.Module
-	opts    Options
-	blocks  []*vhif.Block // all blocks, evaluation order
-	states  []stateBlock
-	nStates int
-	srcs    map[*vhif.Block]Source
-
-	// Discrete state, updated at step boundaries.
-	cmpState map[*vhif.Block]bool
-	shState  map[*vhif.Block]float64
-	prevIn   map[*vhif.Block]float64 // differentiator memory
-
-	probes map[string]*vhif.Net
-	// byName resolves any net of the design for Options.OnSample probes:
-	// all graph nets by name, with port/control aliases overlaid.
-	byName map[string]*vhif.Net
-}
-
-func newModSim(m *vhif.Module, inputs map[string]Source, opts Options) (*modSim, error) {
-	if opts.TStop <= 0 || opts.TStep <= 0 {
-		return nil, fmt.Errorf("sim: TStop and TStep must be positive")
-	}
-	s := &modSim{
-		m:        m,
-		opts:     opts,
-		srcs:     map[*vhif.Block]Source{},
-		cmpState: map[*vhif.Block]bool{},
-		shState:  map[*vhif.Block]float64{},
-		prevIn:   map[*vhif.Block]float64{},
-		probes:   map[string]*vhif.Net{},
-	}
+	slot := slotter[*vhif.Net](p)
+	probes := map[string]int{}
 	for _, g := range m.Graphs {
 		if err := g.Validate(); err != nil {
 			return nil, err
 		}
-		order := g.Topological()
-		s.blocks = append(s.blocks, order...)
-		for _, b := range order {
-			switch b.Kind {
-			case vhif.BInput:
-				src, ok := inputs[b.Name]
-				if !ok {
-					return nil, fmt.Errorf("sim: no source for input port %q", b.Name)
-				}
-				s.srcs[b] = src
-			case vhif.BIntegrator:
-				s.states = append(s.states, stateBlock{b: b, offset: s.nStates, n: 1})
-				s.nStates++
-			case vhif.BFilter:
-				n := 1
-				if b.Param2 > 0 {
-					n = 2 // band-pass biquad: (bp, lp)
-				}
-				s.states = append(s.states, stateBlock{b: b, offset: s.nStates, n: n})
-				s.nStates += n
+		for _, b := range g.Topological() {
+			if err := p.lowerBlock(b, inputs, slot); err != nil {
+				return nil, err
 			}
 		}
-		// Record output ports and requested probes.
 		for _, b := range g.Blocks {
 			if b.Kind == vhif.BOutput {
-				s.probes[b.Name] = b.Inputs[0]
+				probes[b.Name] = slot(b.Inputs[0])
 			}
 		}
 		for _, name := range opts.Probes {
 			for _, n := range g.Nets {
 				if n.Name == name {
-					s.probes[name] = n
+					probes[name] = slot(n)
 				}
 			}
 		}
 	}
 	for _, c := range m.Controls {
-		s.probes[c.Signal] = c.Net
+		probes[c.Signal] = slot(c.Net)
 	}
-	valid := map[string]bool{}
+	byName := map[string]int{}
 	for _, g := range m.Graphs {
 		for _, n := range g.Nets {
-			valid[n.Name] = true
+			byName[n.Name] = slot(n)
 		}
 	}
-	for name := range s.probes { //vase:unordered (per-key set insertion)
-		valid[name] = true
+	for name, s := range probes { //vase:unordered (per-key writes; probe names are unique)
+		byName[name] = s
 	}
-	if err := checkProbes(opts.Probes, valid); err != nil {
+	if err := p.bind(opts.Probes, probes, byName); err != nil {
 		return nil, err
 	}
-	s.byName = map[string]*vhif.Net{}
-	for _, g := range m.Graphs {
-		for _, n := range g.Nets {
-			s.byName[n.Name] = n
-		}
-	}
-	for name, n := range s.probes { //vase:unordered (per-key writes; probe names are unique)
-		s.byName[name] = n
-	}
-	return s, nil
+	return p, nil
 }
 
-// eval computes all net values for integrator state x at time t.
-func (s *modSim) eval(t float64, x []float64) map[*vhif.Net]float64 {
-	vals := make(map[*vhif.Net]float64, len(s.blocks))
-	stateIdx := 0
-	in := func(b *vhif.Block, i int) float64 { return vals[b.Inputs[i]] }
-	ctrl := func(b *vhif.Block) bool { return vals[b.Ctrl] > 0.5 }
-	boolv := func(v bool) float64 {
-		if v {
-			return 1
+// lowerBlock appends the op of one block, with its state or latch.
+func (p *program) lowerBlock(b *vhif.Block, inputs map[string]Source, slot func(*vhif.Net) int) error {
+	o := op{out: slot(b.Out), a: inputSlot(b.Inputs, 0, slot), b: inputSlot(b.Inputs, 1, slot), ctrl: slot(b.Ctrl), k: 1}
+	switch b.Kind {
+	case vhif.BOutput:
+		return nil
+	case vhif.BInput:
+		src, ok := inputs[b.Name]
+		if !ok {
+			return fmt.Errorf("sim: no source for input port %q", b.Name)
 		}
-		return 0
-	}
-	for _, b := range s.blocks {
-		var out float64
-		switch b.Kind {
-		case vhif.BInput:
-			out = s.srcs[b](t)
-		case vhif.BConst:
-			out = b.Param
-		case vhif.BGain:
-			out = b.Param * in(b, 0)
-		case vhif.BAdd:
-			for i := range b.Inputs {
-				out += in(b, i)
-			}
-		case vhif.BSub:
-			out = in(b, 0) - in(b, 1)
-		case vhif.BNeg:
-			out = -in(b, 0)
-		case vhif.BMul:
-			out = 1
-			for i := range b.Inputs {
-				out *= in(b, i)
-			}
-		case vhif.BDiv:
-			out = safeDiv(in(b, 0), in(b, 1))
-		case vhif.BLog:
-			out = safeLog(in(b, 0))
-		case vhif.BExp:
-			out = clampExp(in(b, 0))
-		case vhif.BSqrt:
-			out = math.Sqrt(math.Max(0, in(b, 0)))
-		case vhif.BSin:
-			out = math.Sin(in(b, 0))
-		case vhif.BCos:
-			out = math.Cos(in(b, 0))
-		case vhif.BAbs:
-			out = math.Abs(in(b, 0))
-		case vhif.BMin:
-			out = math.Min(in(b, 0), in(b, 1))
-		case vhif.BMax:
-			out = math.Max(in(b, 0), in(b, 1))
-		case vhif.BSign:
-			switch {
-			case in(b, 0) > 0:
-				out = 1
-			case in(b, 0) < 0:
-				out = -1
-			}
-		case vhif.BIntegrator:
-			out = x[s.states[stateIdx].offset]
-			stateIdx++
-		case vhif.BFilter:
-			sb := s.states[stateIdx]
-			stateIdx++
-			if sb.n == 2 {
-				// Band-pass: unity-gain output is bp/Q.
-				q := bandpassQ(b)
-				out = x[sb.offset] / q
-			} else {
-				out = x[sb.offset]
-			}
-		case vhif.BDifferentiator:
-			// Backward difference using the stored previous input.
-			out = (in(b, 0) - s.prevIn[b]) / s.opts.TStep
-		case vhif.BSampleHold:
-			// A clocked S/H: the output is the previous sample; the state
-			// updates at the step boundary while the control holds. The
-			// one-step latency is what lets S/H chains iterate (Figure 4).
-			out = s.shState[b]
-		case vhif.BSwitch:
-			if ctrl(b) {
-				out = in(b, 0)
-			}
-		case vhif.BMux:
-			if ctrl(b) {
-				out = in(b, 0)
-			} else {
-				out = in(b, 1)
-			}
-		case vhif.BComparator, vhif.BSchmitt:
-			out = boolv(s.cmpState[b])
-		case vhif.BNot:
-			out = boolv(!(vals[b.Inputs[0]] > 0.5))
-		case vhif.BADC:
-			bits := b.Param
-			if bits <= 0 {
-				bits = 8
-			}
-			const fullScale = 2.5
-			q := fullScale / math.Exp2(bits-1)
-			v := math.Max(-fullScale, math.Min(fullScale, in(b, 0)))
-			out = math.Round(v/q) * q
-		case vhif.BLimiter:
-			lim := b.Param
-			if lim <= 0 {
-				lim = 1.5
-			}
-			out = math.Max(-lim, math.Min(lim, in(b, 0)))
-		case vhif.BBuffer:
-			out = in(b, 0)
-		case vhif.BOutput:
-			continue
+		o.code, o.src = opSource, src
+	case vhif.BConst:
+		o.code, o.k = opConst, b.Param
+	case vhif.BGain:
+		o.code, o.k = opScale, b.Param
+	case vhif.BIntegrator:
+		o.code = opState
+		o.idx = p.addState(state{kind: stateIntegrator, in: []int{o.a}, w: []float64{1}}, 1)
+	case vhif.BFilter:
+		o.code = opState
+		if b.Param2 > 0 {
+			// Band-pass: unity-gain output is bp/Q.
+			o.k = bandpassQ(b.Param, b.Param2)
+			o.idx = p.addState(state{kind: stateBandPass, a: o.a, k: 2 * math.Pi * math.Sqrt(b.Param*b.Param2), q: o.k}, 2)
+		} else {
+			o.idx = p.addState(state{kind: stateLag, a: o.a, k: 2 * math.Pi * b.Param}, 1)
 		}
-		if b.Out != nil {
-			vals[b.Out] = out
+	case vhif.BDifferentiator:
+		o.code, o.idx = opDiff, p.addLatch(latch{kind: latchDifferentiator, in: o.a})
+	case vhif.BSampleHold:
+		// A clocked S/H: the output is the previous sample. The one-step
+		// latency is what lets S/H chains iterate (Figure 4).
+		o.code, o.idx = opHold, p.addLatch(latch{kind: latchSampleHold, in: o.a, ctrl: o.ctrl})
+	case vhif.BComparator, vhif.BSchmitt:
+		o.code = opCmp
+		o.idx = p.addLatch(latch{kind: latchComparator, in: o.a, th: b.Param, lo: b.Param - b.Hyst, hi: b.Param + b.Hyst})
+	case vhif.BADC:
+		bits := b.Param
+		if bits <= 0 {
+			bits = 8
+		}
+		o.code, o.k = opADC, adcStep(bits)
+	case vhif.BLimiter:
+		o.code, o.k = opClip, b.Param
+		if o.k <= 0 {
+			o.k = 1.5
+		}
+	default:
+		code, ok := blockOps[b.Kind]
+		if !ok {
+			code, o.k = opConst, 0
+		}
+		o.code = code
+		if code == opSum || code == opProd {
+			o.in = slotsOf(b.Inputs, slot)
+			o.w = make([]float64, len(o.in))
+			for i := range o.w {
+				o.w[i] = 1
+			}
 		}
 	}
-	return vals
+	p.emit(o)
+	return nil
 }
 
-// derivs returns the state derivatives for state x at time t: integrator
-// inputs, and the filter dynamics (first-order low-pass or biquad
-// band-pass).
-func (s *modSim) derivs(t float64, x []float64) []float64 {
-	vals := s.eval(t, x)
-	d := make([]float64, s.nStates)
-	for _, sb := range s.states {
-		in := vals[sb.b.Inputs[0]]
-		switch {
-		case sb.b.Kind == vhif.BIntegrator:
-			d[sb.offset] = in
-		case sb.n == 1:
-			// Low-pass: y' = wc*(u - y).
-			wc := 2 * math.Pi * sb.b.Param
-			d[sb.offset] = wc * (in - x[sb.offset])
-		default:
-			// State-variable band-pass: states (bp, lp) with center w0 and
-			// quality Q from the annotated corners.
-			w0 := 2 * math.Pi * math.Sqrt(sb.b.Param*sb.b.Param2)
-			q := bandpassQ(sb.b)
-			bp, lp := x[sb.offset], x[sb.offset+1]
-			hp := in - lp - bp/q
-			d[sb.offset] = w0 * hp
-			d[sb.offset+1] = w0 * bp
-		}
+// inputSlot is the slot of input i, or the zero slot when there is none.
+func inputSlot[N comparable](ins []N, i int, slot func(N) int) int {
+	if i < len(ins) {
+		return slot(ins[i])
 	}
-	return d
+	return 0
 }
 
-// bandpassQ derives the quality factor from the corner annotations:
-// Q = f0 / bandwidth, floored for stability.
-func bandpassQ(b *vhif.Block) float64 {
-	f0 := math.Sqrt(b.Param * b.Param2)
-	bw := b.Param - b.Param2
-	if bw <= 0 {
-		return 1
+// slotsOf is the slots of every input.
+func slotsOf[N comparable](ins []N, slot func(N) int) []int {
+	s := make([]int, len(ins))
+	for i, n := range ins {
+		s[i] = slot(n)
 	}
-	q := f0 / bw
-	if q < 0.3 {
-		q = 0.3
-	}
-	return q
-}
-
-// updateDiscrete advances comparator, Schmitt, sample-and-hold and
-// differentiator state from the end-of-step values.
-func (s *modSim) updateDiscrete(vals map[*vhif.Net]float64) {
-	for _, b := range s.blocks {
-		switch b.Kind {
-		case vhif.BComparator, vhif.BSchmitt:
-			v := vals[b.Inputs[0]]
-			hyst := b.Hyst
-			st := s.cmpState[b]
-			if st {
-				if v < b.Param-hyst {
-					s.cmpState[b] = false
-				}
-			} else {
-				if v > b.Param+hyst {
-					s.cmpState[b] = true
-				}
-			}
-		case vhif.BSampleHold:
-			if vals[b.Ctrl] > 0.5 {
-				s.shState[b] = vals[b.Inputs[0]]
-			}
-		}
-	}
-}
-
-// updateDifferentiators stores the start-of-step input values so the next
-// step's backward difference spans exactly one step.
-func (s *modSim) updateDifferentiators(vals map[*vhif.Net]float64) {
-	for _, b := range s.blocks {
-		if b.Kind == vhif.BDifferentiator {
-			s.prevIn[b] = vals[b.Inputs[0]]
-		}
-	}
-}
-
-// initDiscrete sets the initial comparator states from the t=0 values so a
-// design does not start on the wrong side of its thresholds.
-func (s *modSim) initDiscrete(vals map[*vhif.Net]float64) {
-	for _, b := range s.blocks {
-		switch b.Kind {
-		case vhif.BComparator, vhif.BSchmitt:
-			s.cmpState[b] = vals[b.Inputs[0]] > b.Param
-		case vhif.BDifferentiator:
-			s.prevIn[b] = vals[b.Inputs[0]]
-		case vhif.BSampleHold:
-			s.shState[b] = vals[b.Inputs[0]]
-		}
-	}
-}
-
-func (s *modSim) run(ctx context.Context) (*Trace, error) {
-	n := int(math.Ceil(s.opts.TStop/s.opts.TStep)) + 1
-	tr := &Trace{Signals: map[string][]float64{}}
-	x := make([]float64, s.nStates)
-
-	// Two passes at t=0: the first primes comparator initial states.
-	v0 := s.eval(0, x)
-	s.initDiscrete(v0)
-
-	h := s.opts.TStep
-	st := newStopper(ctx, s.opts)
-	for step := 0; step < n; step++ {
-		if st.stop(step) {
-			tr.Truncated = true
-			break
-		}
-		t := float64(step) * h
-		vals := s.eval(t, x)
-		tr.Time = append(tr.Time, t)
-		for name, net := range s.probes { //vase:unordered (per-key append into the probe's own series)
-			tr.Signals[name] = append(tr.Signals[name], vals[net])
-		}
-		if s.opts.OnSample != nil {
-			// vals is valid here (before the next eval); the probe resolves
-			// any net of the design, not just the recorded ones.
-			s.opts.OnSample(t, func(name string) (float64, bool) {
-				n, ok := s.byName[name]
-				if !ok {
-					return 0, false
-				}
-				return vals[n], true
-			})
-		}
-		s.updateDifferentiators(vals)
-		// Classic RK4 over the integrator state.
-		k1 := s.derivs(t, x)
-		k2 := s.derivs(t+h/2, axpy(x, k1, h/2))
-		k3 := s.derivs(t+h/2, axpy(x, k2, h/2))
-		k4 := s.derivs(t+h, axpy(x, k3, h))
-		for i := range x {
-			x[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-			if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
-				return nil, fmt.Errorf("sim: state %d diverged at t=%g", i, t)
-			}
-		}
-		end := s.eval(t+h, x)
-		s.updateDiscrete(end)
-	}
-	return tr, nil
-}
-
-func axpy(x, d []float64, h float64) []float64 {
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + h*d[i]
-	}
-	return out
+	return s
 }
