@@ -143,6 +143,22 @@ func BenchmarkFigure8Behavioral(b *testing.B) {
 	}
 }
 
+// BenchmarkFigure8Netlist measures the same window on the receiver's
+// mapped netlist, through the netlist level of the behavioral simulator.
+func BenchmarkFigure8Netlist(b *testing.B) {
+	bd, err := corpus.BuildApp(context.Background(), nil, corpus.ByKey("receiver"), mapper.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := map[string]sim.Source{"line": sim.Sine(1.5, 1e3, 0), "local": sim.DC(0)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.SimulateNetlist(bd.Result.Netlist, inputs, sim.Options{TStop: 3e-3, TStep: 1e-6}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md section 6).
 

@@ -64,7 +64,6 @@ func main() {
 	maxSteps := flag.Int("max-steps", 0, "integration step budget; the trace is truncated on exhaustion (0 = unlimited)")
 	cache := cliopt.CacheFlags("compile and synthesis artifacts")
 	solverStats := flag.Bool("stats", false, "print linear-solver statistics to stderr on exit (circuit level only)")
-	workers := flag.Int("workers", 0, "parallel fan-out of circuit-level AC sweeps (0 = all CPUs, 1 = sequential; results are identical)")
 	solver := vase.SolverExact
 	flag.Var(solveropt.Flag{Mode: &solver}, "solver", solveropt.Usage)
 	reltol := flag.Float64("reltol", 0, "fast-tier relative error budget vs the reference solver (0 = default)")
@@ -174,7 +173,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		arch.SimWorkers = *workers
 		arch.SimSolver = solver
 		arch.SimBudget = vase.ErrorBudget{RelTol: *reltol, AbsTol: *abstol}
 		res, err := arch.Spice(ctx, inputs, *tstop, *tstep)

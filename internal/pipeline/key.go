@@ -100,12 +100,11 @@ func RangesKey(vhifText string) Key {
 // SpiceKey is the content address of a circuit-level transient simulation:
 // the encoded netlist, the input waveform specs (wavespec grammar) sorted
 // by port name, the analysis window in hex-exact form, and the solver
-// tier with its error budget. Two exclusions are deliberate. Workers
-// cannot affect a transient (only the AC sweep parallelizes), so it is
-// result-neutral. And the two bit-identical tiers — exact and reference —
-// share the single tag "exact", because byte-equal outputs deserve one
-// cache slot; only SolverFast gets its own tag, and only its tag embeds
-// the budget, since the exact tiers never consult it.
+// tier with its error budget. The two bit-identical tiers — exact and
+// reference — deliberately share the single tag "exact", because
+// byte-equal outputs deserve one cache slot; only SolverFast gets its own
+// tag, and only its tag embeds the budget, since the exact tiers never
+// consult it.
 func SpiceKey(netlistData string, inputs map[string]string, tstop, tstep float64, solver mna.SolverMode, budget mna.ErrorBudget) Key {
 	names := make([]string, 0, len(inputs))
 	for n := range inputs {

@@ -23,11 +23,10 @@ type spiceData struct {
 }
 
 // SpiceOptions configures one spice-stage run. Solver and Budget are part
-// of the cache key (see SpiceKey); Workers is result-neutral and is not.
+// of the cache key (see SpiceKey).
 type SpiceOptions struct {
-	Solver  mna.SolverMode
-	Budget  mna.ErrorBudget
-	Workers int
+	Solver mna.SolverMode
+	Budget mna.ErrorBudget
 }
 
 // SpiceResult is a circuit-level transient of one netlist: a fresh
@@ -116,7 +115,6 @@ func Transient(ctx context.Context, nl *netlist.Netlist, waves map[string]mna.Wa
 	c := el.Circuit
 	c.Solver = opts.Solver
 	c.Budget = opts.Budget
-	c.Workers = opts.Workers
 	tr, err := c.TransientContext(ctx, tstop, tstep)
 	if err != nil {
 		return nil, nil, err

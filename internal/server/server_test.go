@@ -590,6 +590,30 @@ func TestSimulateCircuitExtremeWindow(t *testing.T) {
 	}
 }
 
+// TestSimulateUnsteppableWindow pins the behavioral window guard: a step
+// count past the int range is a 422 at both levels, never a 200 with an
+// empty trace marked complete.
+func TestSimulateUnsteppableWindow(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, level := range []string{"behavioral", "circuit"} {
+		rec, out := post(t, s, "/v1/simulate", map[string]any{
+			"name":   "mixer.vhd",
+			"source": mixerSrc,
+			"inputs": map[string]string{"a": "dc:0.1", "b": "dc:0.2"},
+			"tstop":  1e300,
+			"tstep":  1e-300,
+			"level":  level,
+		})
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422 (body %.200s)", level, rec.Code, rec.Body)
+			continue
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "not a representable step count") {
+			t.Errorf("%s: error %q does not name the step count", level, msg)
+		}
+	}
+}
+
 // TestSimulateSolverValidation pins the shared solveropt error contract at
 // the HTTP boundary: an unknown tier is a 400 listing the valid names, and
 // solver fields on a behavioral request are rejected rather than ignored.

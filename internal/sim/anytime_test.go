@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"vase/internal/mapper"
 	"vase/internal/vhif"
 )
 
@@ -123,6 +124,40 @@ func TestDeadlineTruncatesLongSimulation(t *testing.T) {
 		last := tr.Time[n-1]
 		if got := tr.Get("y")[n-1]; math.Abs(got-last) > 1e-6 {
 			t.Errorf("truncated trace corrupt: y(%g) = %g, want %g", last, got, last)
+		}
+	}
+}
+
+// TestUnsteppableWindowRejected: a window whose step count is NaN or past
+// the int range is an error at both levels, not an empty trace marked
+// complete.
+func TestUnsteppableWindowRejected(t *testing.T) {
+	m := rampModule(t)
+	res, err := mapper.Synthesize(m, mapper.DefaultOptions())
+	if err != nil {
+		t.Fatalf("synthesize: %v", err)
+	}
+	in := map[string]Source{"u": DC(1)}
+	levels := map[string]func(Options) (*Trace, error){
+		"vhif":    func(o Options) (*Trace, error) { return SimulateModule(m, in, o) },
+		"netlist": func(o Options) (*Trace, error) { return SimulateNetlist(res.Netlist, in, o) },
+	}
+	windows := []Options{
+		{TStop: math.NaN(), TStep: 1e-6},
+		{TStop: 1e-3, TStep: math.NaN()},
+		{TStop: 1e300, TStep: 1e-300},
+		{TStop: math.Inf(1), TStep: 1e-6},
+	}
+	for level, run := range levels {
+		for _, w := range windows {
+			tr, err := run(w)
+			if err == nil {
+				t.Errorf("%s: tstop=%g tstep=%g: accepted (%d samples, truncated %v)", level, w.TStop, w.TStep, len(tr.Time), tr.Truncated)
+				continue
+			}
+			if !strings.Contains(err.Error(), "not a representable step count") {
+				t.Errorf("%s: tstop=%g tstep=%g: error %q does not name the step count", level, w.TStop, w.TStep, err)
+			}
 		}
 	}
 }

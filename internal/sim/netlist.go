@@ -29,9 +29,10 @@ func SimulateNetlistContext(ctx context.Context, nl *netlist.Netlist, inputs map
 	return p.run(ctx)
 }
 
-// cellOps maps the cells whose op needs no parameter.
+// cellOps maps the cells whose op needs no parameter; a follower is a
+// gain of 1.
 var cellOps = map[library.CellKind]opcode{
-	library.CellFollower: opCopy, library.CellMultiplier: opProd, library.CellDivider: opDiv,
+	library.CellFollower: opScale, library.CellMultiplier: opProd, library.CellDivider: opDiv,
 	library.CellSqrt: opSqrt, library.CellRectifier: opAbs, library.CellSineShaper: opSin,
 	library.CellSwitch: opSwitch, library.CellMux: opMux,
 }
@@ -67,9 +68,6 @@ func lowerNetlist(nl *netlist.Netlist, inputs map[string]Source, opts Options) (
 	byName := map[string]int{}
 	for _, n := range nl.Nets {
 		byName[n.Name] = slot(n)
-	}
-	for name, s := range probes { //vase:unordered (per-key writes; probe names are unique)
-		byName[name] = s
 	}
 	if err := p.bind(opts.Probes, probes, byName); err != nil {
 		return nil, err
@@ -136,7 +134,7 @@ func (p *program) lowerCell(c *netlist.Component, modelBandwidth bool, slot func
 	case library.CellADC:
 		o.code, o.k = opADC, adcStep(c.Param("bits", 8))
 	case library.CellOutputStage:
-		o.code = opCopy
+		o.code = opScale
 		if lim := c.Param("limit", 0); lim > 0 {
 			o.code, o.k = opClip, lim
 		}

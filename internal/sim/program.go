@@ -64,7 +64,6 @@ const (
 	opPGA                  // k * a while ctrl, else k2 * a
 	opADC                  // a clipped to the full scale, quantized to steps of k
 	opClip                 // a clipped to [-k, k]
-	opCopy                 // a
 	opState                // x[idx] / k
 	opCmp                  // latch idx's comparator output, inverted by inv
 	opHold                 // latch idx's held sample
@@ -197,15 +196,14 @@ func (p *program) addLatch(l latch) int {
 	return len(p.latches) - 1
 }
 
-// bind records probes (name to slot) and resolves OnSample names through
-// byName, whose keys are every valid net name: a requested probe naming
-// none of them is an error.
+// bind records the probes (name to slot) and resolves OnSample names
+// through byName: the design's nets by name, overlaid with the probes.
+// A requested probe naming none of them is an error listing the valid
+// names, so a typo is immediately actionable.
 func (p *program) bind(requested []string, probes, byName map[string]int) error {
-	if err := checkProbes(requested, byName); err != nil {
-		return err
-	}
 	names := make([]string, 0, len(probes))
-	for name := range probes {
+	for name, s := range probes {
+		byName[name] = s
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -213,29 +211,23 @@ func (p *program) bind(requested []string, probes, byName map[string]int) error 
 		p.rec = append(p.rec, recorded{name: name, slot: probes[name]})
 	}
 	p.byName = byName
-	return nil
-}
-
-// checkProbes verifies every requested probe name is valid; the error
-// lists the valid names so a typo is immediately actionable.
-func checkProbes(requested []string, valid map[string]int) error {
 	var missing []string
 	for _, name := range requested {
-		if _, ok := valid[name]; !ok {
+		if _, ok := byName[name]; !ok {
 			missing = append(missing, name)
 		}
 	}
 	if len(missing) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(valid))
-	for name := range valid {
-		names = append(names, name)
+	valid := make([]string, 0, len(byName))
+	for name := range byName {
+		valid = append(valid, name)
 	}
-	sort.Strings(names)
+	sort.Strings(valid)
 	sort.Strings(missing)
 	return fmt.Errorf("sim: unknown probe net%s %s (valid nets: %s)",
-		plural(len(missing)), strings.Join(missing, ", "), strings.Join(names, ", "))
+		plural(len(missing)), strings.Join(missing, ", "), strings.Join(valid, ", "))
 }
 
 func plural(n int) string {
@@ -249,15 +241,8 @@ func plural(n int) string {
 // budget stop it between steps with the samples so far and
 // Trace.Truncated set.
 func (p *program) run(ctx context.Context) (*Trace, error) {
-	n := len(p.x)
-	p.xs, p.k1, p.k2, p.k3, p.k4 = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	p.start()
 	tr := &Trace{Signals: map[string][]float64{}}
-
-	// Prime the discrete state from the t=0 values so a design does not
-	// start on the wrong side of its thresholds.
-	p.eval(0, p.x)
-	p.initLatches()
-
 	probe := func(name string) (float64, bool) {
 		s, ok := p.byName[name]
 		return p.vals[s], ok
@@ -336,8 +321,13 @@ func (p *program) step(t float64) error {
 	return nil
 }
 
-// initLatches sets every discrete element from the values in vals.
-func (p *program) initLatches() {
+// start allocates the RK4 scratch and primes the discrete state from the
+// t=0 values, so a design does not start on the wrong side of its
+// thresholds.
+func (p *program) start() {
+	n := len(p.x)
+	p.xs, p.k1, p.k2, p.k3, p.k4 = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	p.eval(0, p.x)
 	for i := range p.latches {
 		l := &p.latches[i]
 		if l.kind == latchComparator {
@@ -455,8 +445,6 @@ func (p *program) eval(t float64, x []float64) {
 			out = math.Round(a/o.k) * o.k
 		case opClip:
 			out = math.Max(-o.k, math.Min(o.k, v[o.a]))
-		case opCopy:
-			out = v[o.a]
 		case opState:
 			out = x[o.idx] / o.k
 		case opCmp:

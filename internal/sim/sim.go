@@ -141,15 +141,15 @@ func SimulateModuleContext(ctx context.Context, m *vhif.Module, inputs map[strin
 	return p.run(ctx)
 }
 
-// blockOps maps the VHIF blocks whose op needs no parameter. Log, exp and
-// add lower to the netlist's scaled and weighted forms with scale and
-// weights 1, which compute the same values bit for bit.
+// blockOps maps the VHIF blocks whose op needs no parameter. Log, exp,
+// add and the buffer lower to the netlist's scaled and weighted forms with
+// scale and weights 1, which compute the same values bit for bit.
 var blockOps = map[vhif.BlockKind]opcode{
 	vhif.BAdd: opSum, vhif.BSub: opSub, vhif.BNeg: opNeg, vhif.BMul: opProd,
 	vhif.BDiv: opDiv, vhif.BLog: opLog, vhif.BExp: opExp, vhif.BSqrt: opSqrt,
 	vhif.BSin: opSin, vhif.BCos: opCos, vhif.BAbs: opAbs, vhif.BMin: opMin,
 	vhif.BMax: opMax, vhif.BSign: opSign, vhif.BSwitch: opSwitch, vhif.BMux: opMux,
-	vhif.BNot: opNot, vhif.BBuffer: opCopy,
+	vhif.BNot: opNot, vhif.BBuffer: opScale,
 }
 
 // lowerModule lowers the module's graphs, each in topological order, and
@@ -160,7 +160,7 @@ func lowerModule(m *vhif.Module, inputs map[string]Source, opts Options) (*progr
 		return nil, err
 	}
 	slot := slotter[*vhif.Net](p)
-	probes := map[string]int{}
+	probes, byName := map[string]int{}, map[string]int{}
 	for _, g := range m.Graphs {
 		if err := g.Validate(); err != nil {
 			return nil, err
@@ -182,18 +182,12 @@ func lowerModule(m *vhif.Module, inputs map[string]Source, opts Options) (*progr
 				}
 			}
 		}
-	}
-	for _, c := range m.Controls {
-		probes[c.Signal] = slot(c.Net)
-	}
-	byName := map[string]int{}
-	for _, g := range m.Graphs {
 		for _, n := range g.Nets {
 			byName[n.Name] = slot(n)
 		}
 	}
-	for name, s := range probes { //vase:unordered (per-key writes; probe names are unique)
-		byName[name] = s
+	for _, c := range m.Controls {
+		probes[c.Signal] = slot(c.Net)
 	}
 	if err := p.bind(opts.Probes, probes, byName); err != nil {
 		return nil, err

@@ -570,3 +570,44 @@ end architecture;`)
 		t.Errorf("600 kHz peak = %g, want visible finite-GBW roll-off", outBand)
 	}
 }
+
+// TestRK4StepZeroAllocs pins the lowered engine's step loop: after
+// warm-up, one RK4 step (the evaluation at t, the four derivative passes,
+// the end-of-step evaluation and the discrete updates) allocates nothing
+// at either level.
+func TestRK4StepZeroAllocs(t *testing.T) {
+	m := compileSrc(t, receiverSrc)
+	res, err := mapper.Synthesize(m, mapper.DefaultOptions())
+	if err != nil {
+		t.Fatalf("synthesize: %v", err)
+	}
+	in := map[string]Source{"line": Sine(1.5, 1e3, 0), "local": DC(0)}
+	opts := Options{TStop: 3e-3, TStep: 1e-6}
+	mod, err := lowerModule(m, in, opts)
+	if err != nil {
+		t.Fatalf("lower module: %v", err)
+	}
+	nl, err := lowerNetlist(res.Netlist, in, opts)
+	if err != nil {
+		t.Fatalf("lower netlist: %v", err)
+	}
+	for _, level := range []struct {
+		name string
+		p    *program
+	}{{"vhif", mod}, {"netlist", nl}} {
+		p := level.p
+		p.start()
+		step := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			tm := float64(step) * opts.TStep
+			p.eval(tm, p.x)
+			if err := p.step(tm); err != nil {
+				t.Fatalf("%s: step %d: %v", level.name, step, err)
+			}
+			step++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: one RK4 step allocates %v times, want 0", level.name, allocs)
+		}
+	}
+}

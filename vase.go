@@ -327,9 +327,9 @@ type Architecture struct {
 	// cache instead of running the branch-and-bound search; Stats then
 	// describes the original search that produced the cached artifact.
 	Cached bool
-	// SimWorkers bounds the fan-out of the parallel AC sweep in the Spice
-	// and AC verification steps (0 = all CPUs, 1 = sequential). Every
-	// worker count produces bitwise-identical results.
+	// SimWorkers bounds the fan-out of the parallel AC sweep (0 = all
+	// CPUs, 1 = sequential). It applies to AC only: a transient runs on one
+	// goroutine. Every worker count produces bitwise-identical results.
 	SimWorkers int
 	// SimSolver selects the MNA solver tier for the Spice and AC
 	// verification steps. The zero value is the exact planned engine
@@ -404,8 +404,9 @@ func ParseWaveform(spec string) (Waveform, error) {
 }
 
 // Simulate runs a behavioral transient analysis of the design's VHIF
-// signal-flow graphs. Cancellation (or SimOptions.Deadline /
-// SimOptions.MaxSteps) stops the integration early and returns the partial
+// signal-flow graphs, lowered once to the slot program the netlist level
+// shares. Cancellation (a context deadline included) or
+// SimOptions.MaxSteps stops the integration early and returns the partial
 // trace with Trace.Truncated set.
 func (d *Design) Simulate(ctx context.Context, inputs map[string]Waveform, opts SimOptions) (*Trace, error) {
 	return sim.SimulateModuleContext(ctx, d.VHIF, inputs, opts)
@@ -475,7 +476,7 @@ func (a *Architecture) SpiceVia(ctx context.Context, p *Pipeline, inputs map[str
 
 // spiceOptions is the architecture's solver-tier selection for transients.
 func (a *Architecture) spiceOptions() pipeline.SpiceOptions {
-	return pipeline.SpiceOptions{Solver: a.SimSolver, Budget: a.SimBudget, Workers: a.SimWorkers}
+	return pipeline.SpiceOptions{Solver: a.SimSolver, Budget: a.SimBudget}
 }
 
 // ACResponse is a small-signal frequency sweep of a synthesized circuit.
