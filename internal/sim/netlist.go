@@ -45,7 +45,11 @@ func lowerNetlist(nl *netlist.Netlist, inputs map[string]Source, opts Options) (
 		return nil, err
 	}
 	slot := slotter[*netlist.Net](p)
-	var sources []op
+	for _, n := range nl.Nets {
+		if n.Const != nil {
+			p.emit(op{code: opConst, out: slot(n), k: *n.Const})
+		}
+	}
 	probes := map[string]int{}
 	for _, pt := range nl.Ports {
 		if pt.Dir == netlist.In {
@@ -53,7 +57,7 @@ func lowerNetlist(nl *netlist.Netlist, inputs map[string]Source, opts Options) (
 			if !ok {
 				return nil, fmt.Errorf("sim: no source for netlist input %q", pt.Name)
 			}
-			sources = append(sources, op{code: opSource, out: slot(pt.Net), src: src})
+			p.emit(op{code: opSource, out: slot(pt.Net), src: src})
 		} else {
 			probes[pt.Name] = slot(pt.Net)
 		}
@@ -75,14 +79,6 @@ func lowerNetlist(nl *netlist.Netlist, inputs map[string]Source, opts Options) (
 	order, err := nl.Topological()
 	if err != nil {
 		return nil, err
-	}
-	for _, n := range nl.Nets {
-		if n.Const != nil {
-			p.emit(op{code: opConst, out: slot(n), k: *n.Const})
-		}
-	}
-	for _, o := range sources {
-		p.emit(o)
 	}
 	for _, c := range order {
 		p.lowerCell(c, opts.ModelBandwidth, slot)

@@ -15,11 +15,13 @@ import (
 // evaluator, one derivative pass, one discrete update, one probe binder
 // and one RK4 loop.
 //
-// Each op keeps the arithmetic of the element it lowers, in the same
-// order: sums start from 0 and products from 1, and evaluation writes the
-// slots in the order the element interpreters wrote their maps. vals is
-// cleared before every evaluation, so a net read before its driver runs
-// still reads 0.
+// Each op keeps its element's order of arithmetic: sums start from 0 and
+// products from 1. Ops run in a fixed order: a module's blocks graph by
+// graph in topological order; a netlist's constant nets, then its input
+// sources, then its cells in topological order. vals is cleared before
+// every evaluation, so a net read before its driver runs reads 0. These
+// rules keep both levels' traces bit for bit what TestBehavioralTraceDigests
+// records.
 type program struct {
 	opts  Options
 	steps int    // integration steps of the full window
