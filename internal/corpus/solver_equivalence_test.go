@@ -75,6 +75,7 @@ type solverRun struct {
 	ac    *mna.ACResult
 	acErr string
 	nodes int
+	stats mna.SolverStats
 }
 
 func errString(err error) string {
@@ -109,6 +110,7 @@ func runSolverMode(t *testing.T, b *Build, key string, mode mna.SolverMode, meth
 		run.ac, run.acErr = ac, errString(err)
 		break
 	}
+	run.stats = c.SolverStats()
 	return run
 }
 
