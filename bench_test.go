@@ -11,6 +11,7 @@ import (
 
 	"vase"
 	"vase/internal/corpus"
+	"vase/internal/gen"
 	"vase/internal/mapper"
 	"vase/internal/mna"
 	"vase/internal/patterns"
@@ -132,6 +133,53 @@ func BenchmarkFigure8Reference(b *testing.B) { benchFigure8(b, mna.SolverReferen
 // BenchmarkFigure8Fast runs the tolerance-tier engine (results within the
 // default ErrorBudget of the reference, not byte-identical).
 func BenchmarkFigure8Fast(b *testing.B) { benchFigure8(b, mna.SolverFast) }
+
+// benchMediumDC measures one DC operating point of seed-1 ladder spec 3, a
+// medium design (reduced dimension 311), through one MNA solver tier. The
+// spec is mapped once under the simulate benchmark's policy (first-fit
+// above 12 quantities, a 1<<15 node cap); every iteration elaborates a
+// fresh circuit, so the exact tier's pattern growth and the fast tier's
+// orderings are inside the timed loop.
+func benchMediumDC(b *testing.B, mode mna.SolverMode) {
+	sp := gen.Generate(1, 3, gen.MixedSize(3))
+	m, err := gen.CompileSpec(sp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := mapper.DefaultOptions()
+	opts.MaxNodes = 1 << 15
+	opts.FirstFit = sp.Quants() > 12
+	res, err := mapper.Synthesize(m, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	waves := map[string]mna.Waveform{}
+	for name, w := range sp.Inputs { //vase:unordered (map-to-map conversion)
+		waves[name] = mna.Waveform(w.Source())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		el, err := mna.Elaborate(res.Netlist, waves)
+		if err != nil {
+			b.Fatal(err)
+		}
+		el.Circuit.Solver = mode
+		if _, err := el.Circuit.DC(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMediumDCReference is the medium DC on the reference eliminator,
+// the baseline of CI's medium-DC ratio gate.
+func BenchmarkMediumDCReference(b *testing.B) { benchMediumDC(b, mna.SolverReference) }
+
+// BenchmarkMediumDCExact is the medium DC on the exact tier.
+func BenchmarkMediumDCExact(b *testing.B) { benchMediumDC(b, mna.SolverAuto) }
+
+// BenchmarkMediumDCFast is the medium DC on the fast tier.
+func BenchmarkMediumDCFast(b *testing.B) { benchMediumDC(b, mna.SolverFast) }
 
 // BenchmarkFigure8Behavioral measures the same experiment on the RK4
 // behavioral simulator.

@@ -167,11 +167,8 @@ func (s *solver) factorSolve(x Solution) error {
 			// value-independently so a later replay can apply it even when
 			// this iteration's multiplier happens to be zero. A target
 			// slot outside this row's pattern means elimination fill the
-			// pattern has not seen yet: grow the pattern (monotonically)
-			// and have the caller restamp and retry. Until that first
-			// miss, every out-of-pattern position is an exact zero, so the
-			// values computed so far match the reference elimination bit for
-			// bit and can simply be discarded.
+			// pattern has not seen yet: stop, and let the caller solve the
+			// iteration with denseSolve.
 			end := rp[rr+1]
 			w := q
 			for pk := pq; pk < pend; pk++ {
@@ -180,8 +177,7 @@ func (s *solver) factorSolve(x Solution) error {
 					w++
 				}
 				if w >= end || ci[w] != c2 {
-					s.grow(rr, pr, col)
-					return errPatternGrown
+					return errPatternMiss
 				}
 				s.sched = append(s.sched, int32(w))
 			}
@@ -215,4 +211,33 @@ func (s *solver) factorSolve(x Solution) error {
 	}
 	x[0] = 0
 	return nil
+}
+
+// denseSolve solves an iteration whose elimination left the pattern: the
+// freshly stamped system is copied to a dense scratch and solved by
+// eliminate, the reference's own arithmetic, so the solution is the
+// reference's. The pattern then absorbs the fill closure of the pivots
+// eliminate took, up to a singular column if any; the caller relayouts.
+// Until its first miss every out-of-pattern position holds an exact zero,
+// so the sparse elimination picks the same pivots and the missed slot is
+// among those absorbed.
+func (s *solver) denseSolve(x Solution) error {
+	n := s.dim
+	if s.dense == nil {
+		s.dense = make([][]float64, n)
+		for i := range s.dense {
+			s.dense[i] = make([]float64, n+1)
+		}
+		s.pivRows = make([]int, n)
+	}
+	for r, row := range s.dense {
+		clear(row)
+		for q := s.rowPtr[r]; q < s.rowPtr[r+1]; q++ {
+			row[s.colIdx[q]] = s.vals[q]
+		}
+		row[n] = s.rhsv[r]
+	}
+	k, err := eliminate(s.dense, x, s.pivRows)
+	s.absorb(s.pivRows[:k])
+	return err
 }

@@ -11,12 +11,15 @@
 // of the output stage.
 //
 // The linear-algebra core is built around structure reuse: a stamp plan
-// records once per circuit which matrix slots every device touches, the
-// elimination structure (including fill) is analyzed symbolically once, and
-// every subsequent Newton iteration restamps and refactors in place inside
-// preallocated CSR storage with zero steady-state allocation. The exact
-// tier's solutions are bit-identical to the reference eliminator's (see
-// factor.go for the argument).
+// records once per circuit which matrix slots every device touches, and
+// every Newton iteration restamps and refactors in place inside
+// preallocated CSR storage. The CSR pattern grows with the fill of the
+// pivot sequences the exact tier meets: an iteration whose elimination
+// leaves the pattern is solved densely by the reference eliminator, and the
+// pattern absorbs that elimination's whole fill in one relayout (plan.go).
+// Every other iteration allocates nothing. The exact tier's solutions are
+// bit-identical to the reference eliminator's (see factor.go for the
+// argument).
 package mna
 
 import (
@@ -132,14 +135,20 @@ func (m SolverMode) String() string {
 type SolverStats struct {
 	// NewtonIterations counts nonlinear iterations across all solves.
 	NewtonIterations int64
-	// Factorizations counts LU factorizations: one per Newton iteration
-	// plus one per AC frequency point.
+	// Factorizations counts LU factorizations. The reference and exact
+	// tiers run one per Newton iteration, counting an iteration that fails
+	// singular; the exact tier's dense solve of a pattern miss is that
+	// iteration's one factorization. The fast tier counts only fresh
+	// factorizations (reused ones are FactorReuses), including the refactor
+	// after a monitor-forced reorder and its exact fallbacks' iterations.
+	// Every tier adds one per AC frequency point.
 	Factorizations int64
 	// FactorReuses counts SolverFast Newton iterations that reused the
 	// previous factorization instead of refactoring (chord steps).
 	FactorReuses int64
-	// Orderings counts SolverFast fill-reducing symbolic orderings
-	// (one per stamp plan, plus one per pivot-monitor-forced reorder).
+	// Orderings counts SolverFast fill-reducing symbolic orderings: one
+	// per layout of the stamp plan a fast solve reaches (a relayout drops
+	// the ordering), plus one per pivot-monitor-forced reorder.
 	Orderings int64
 	// Fallbacks counts SolverFast solve points that exhausted the fast
 	// Newton budget and were re-solved by the exact tier's loop.
@@ -442,9 +451,12 @@ const (
 // by more than one iteration.
 //
 // dst is the caller's iterate buffer (len s.dim+1); the converged solution
-// is returned aliasing dst. The loop allocates nothing: stamping writes
-// through the plan's precomputed slots and the factorization runs in place
-// inside the solver workspace (pinned by TestNewtonZeroAllocs).
+// is returned aliasing dst. Each iteration is one factorization. Unless its
+// elimination leaves the sparse pattern, the loop allocates nothing:
+// stamping writes through the plan's precomputed slots and the
+// factorization runs in place inside the solver workspace (pinned by
+// TestNewtonZeroAllocs). An iteration that leaves the pattern is solved by
+// denseSolve and relayouts the plan once.
 func (c *Circuit) newtonFast(ctx context.Context, s *solver, dst, x0, prev Solution, t, h float64) (Solution, error) {
 	copy(dst, x0)
 	for _, d := range c.devices {
@@ -459,9 +471,9 @@ func (c *Circuit) newtonFast(ctx context.Context, s *solver, dst, x0, prev Solut
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mna: solve at t=%g cancelled: %w", t, err)
 		}
-		// Snapshot the op-amp Newton-limiting state: a restamp after
-		// adaptive pattern growth must replay the identical linearization,
-		// and opampLinearize advances lastVc on every call.
+		// Snapshot the op-amp Newton-limiting state: the restamp of a
+		// pattern miss must replay the identical linearization, and
+		// opampLinearize advances lastVc on every call.
 		for i, d := range s.ops {
 			s.opVc[i], s.opHas[i] = d.lastVc, d.hasLast
 		}
@@ -469,18 +481,17 @@ func (c *Circuit) newtonFast(ctx context.Context, s *solver, dst, x0, prev Solut
 		c.stampInto(s, dst, prev, t, h)
 		c.stats.Factorizations++
 		err := s.factorSolve(next)
-		for err == errPatternGrown {
-			// The sparse pattern just absorbed new elimination fill:
-			// relayout the plan, restamp and refactor. Growth is
-			// monotone, so this settles after the first few solves.
-			c.layout(s)
+		if err == errPatternMiss {
+			// The elimination needs fill the pattern lacks: restamp,
+			// solve this iteration densely, and relayout once for the
+			// whole fill of the pivot sequence it took.
 			for i, d := range s.ops {
 				d.lastVc, d.hasLast = s.opVc[i], s.opHas[i]
 			}
 			s.clear()
 			c.stampInto(s, dst, prev, t, h)
-			c.stats.Factorizations++
-			err = s.factorSolve(next)
+			err = s.denseSolve(next)
+			c.layout(s)
 		}
 		if err != nil {
 			return nil, err

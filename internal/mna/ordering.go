@@ -109,9 +109,10 @@ func (s *solver) stampedEntries(yield func(r, col, slot int)) {
 }
 
 // buildFastState derives the fast-tier workspace from the matrix currently
-// assembled in s.vals/s.rhsv. It allocates freely — orderings happen once
-// per plan (plus the rare monitor-forced reorder), never in the steady
-// state.
+// assembled in s.vals/s.rhsv. It allocates freely: orderings happen once
+// per layout of the plan and on each monitor-forced reorder, never in the
+// steady state. No step of the Markowitz ordering scans or allocates an
+// n×n array.
 func (c *Circuit) buildFastState(s *solver) (*fastState, error) {
 	c.stats.Orderings++
 	n := s.dim
@@ -124,63 +125,71 @@ func (c *Circuit) buildFastState(s *solver) (*fastState, error) {
 		slots = append(slots, int32(slot))
 	})
 
-	// --- Threshold-Markowitz ordering on a dense scratch. ---
-	d := make([]float64, n*n)
-	for i := range slots {
-		d[int(rows[i])*n+int(cols[i])] = s.vals[slots[i]]
+	// --- Threshold-Markowitz ordering over the sparse active submatrix. ---
+	// Each active row keeps its nonzero entries in active columns as a
+	// column/value list; an exact zero, including one left by
+	// cancellation, is no entry. colRows indexes the rows that have held an
+	// entry in each column (a superset: entries can cancel), which finds a
+	// pivot column's elimination targets without scanning the rows.
+	rcol := make([][]int32, n)
+	rval := make([][]float64, n)
+	colRows := make([][]int32, n)
+	for i, slot := range slots {
+		if v := s.vals[slot]; v != 0 {
+			r, col := rows[i], cols[i]
+			rcol[r] = append(rcol[r], col)
+			rval[r] = append(rval[r], v)
+			colRows[col] = append(colRows[col], r)
+		}
 	}
-	actR := make([]int, n) // remaining (active) original rows/cols
+	actR := make([]int, n) // remaining (active) original rows/cols, ascending
 	actC := make([]int, n)
 	for i := 0; i < n; i++ {
 		actR[i], actC[i] = i, i
 	}
-	rowCnt := make([]int, n)
 	colCnt := make([]int, n)
 	colMax := make([]float64, n)
+	// pw scatters the pivot row's entries by column, marked in pmark with
+	// the step number plus one; seen marks, per target row, the pivot
+	// columns the row already holds.
+	pw := make([]float64, n)
+	pmark := make([]int, n)
+	seen := make([]int, n)
+	stamp := 0
 	fs.perm = make([]int, n)
 	fs.cperm = make([]int, n)
 	fs.pivRef = make([]float64, n)
 	for k := 0; k < n; k++ {
-		// Active-submatrix counts and column maxima. Recomputed per step:
-		// the ordering runs once per plan, so O(n^3) total is acceptable
-		// and keeps the selection rule trivially deterministic.
+		// Active-submatrix column counts and maxima, recounted from the
+		// row lists: one pass over the active entries.
 		for _, col := range actC {
 			colCnt[col] = 0
 			colMax[col] = 0
 		}
 		for _, r := range actR {
-			cnt := 0
-			row := d[r*n : r*n+n]
-			for _, col := range actC {
-				v := row[col]
-				if v == 0 {
-					continue
-				}
-				cnt++
+			for j, col := range rcol[r] {
 				colCnt[col]++
-				if v < 0 {
-					v = -v
-				}
-				if v > colMax[col] {
+				if v := math.Abs(rval[r][j]); v > colMax[col] {
 					colMax[col] = v
 				}
 			}
-			rowCnt[r] = cnt
 		}
 		// Best acceptable candidate: minimal Markowitz cost, ties broken
-		// by smallest original row then column (deterministic).
+		// by smallest original row then column (deterministic). Rows are
+		// visited in ascending order, so once a row yields cost 0 no later
+		// row can win.
 		bestR, bestC, bestCost := -1, -1, math.MaxInt64
 		for _, r := range actR {
-			row := d[r*n : r*n+n]
-			for _, col := range actC {
-				v := row[col]
-				if v < 0 {
-					v = -v
-				}
-				if v == 0 || v < fastSelRel*colMax[col] {
+			if bestCost == 0 {
+				break
+			}
+			for j, c := range rcol[r] {
+				col := int(c)
+				v := math.Abs(rval[r][j])
+				if v < fastSelRel*colMax[col] {
 					continue
 				}
-				cost := (rowCnt[r] - 1) * (colCnt[col] - 1)
+				cost := (len(rcol[r]) - 1) * (colCnt[col] - 1)
 				if cost < bestCost ||
 					(cost == bestCost && (r < bestR || (r == bestR && col < bestC))) {
 					bestR, bestC, bestCost = r, col, cost
@@ -196,21 +205,66 @@ func (c *Circuit) buildFastState(s *solver) (*fastState, error) {
 		fs.perm[k], fs.cperm[k] = bestR, bestC
 		actR = removeInt(actR, bestR)
 		actC = removeInt(actC, bestC)
-		piv := d[bestR*n+bestC]
-		fs.pivRef[k] = math.Abs(piv)
-		prow := d[bestR*n : bestR*n+n]
-		for _, r := range actR {
-			num := d[r*n+bestC]
-			if num == 0 {
+		// Scatter the pivot row's other entries; the pivot row and column
+		// leave the active submatrix.
+		var piv float64
+		pcols := rcol[bestR]
+		for j, c := range pcols {
+			if int(c) == bestC {
+				piv = rval[bestR][j]
 				continue
 			}
-			f := num / piv
-			row := d[r*n : r*n+n]
-			for _, col := range actC {
-				if pv := prow[col]; pv != 0 {
-					row[col] -= f * pv
+			pw[c], pmark[c] = rval[bestR][j], k+1
+		}
+		fs.pivRef[k] = math.Abs(piv)
+		rcol[bestR], rval[bestR] = nil, nil
+		for _, r := range colRows[bestC] {
+			rc, rv := rcol[r], rval[r]
+			num := 0.0
+			for j, c := range rc {
+				if int(c) == bestC {
+					num = rv[j]
+					break
 				}
 			}
+			if num == 0 {
+				// No entry: the row pivoted, its entry cancelled, or a
+				// duplicate index entry already eliminated it.
+				continue
+			}
+			// row[col] -= f*pv over the pivot row's entries: update the
+			// shared columns in place, drop the pivot column and any
+			// cancelled entry, then append the fill.
+			f := num / piv
+			stamp++
+			out := 0
+			for j, c := range rc {
+				if int(c) == bestC {
+					continue
+				}
+				v := rv[j]
+				if pmark[c] == k+1 {
+					seen[c] = stamp
+					v -= f * pw[c]
+					if v == 0 {
+						continue
+					}
+				}
+				rc[out], rv[out] = c, v
+				out++
+			}
+			rc, rv = rc[:out], rv[:out]
+			for _, c := range pcols {
+				if int(c) == bestC || seen[c] == stamp {
+					continue
+				}
+				if v := -f * pw[c]; v != 0 {
+					rc = append(rc, c)
+					rv = append(rv, v)
+					colRows[c] = append(colRows[c], int32(r))
+				}
+			}
+			rcol[r], rval[r] = rc, rv
 		}
 	}
 	fs.rpos = make([]int, n)

@@ -19,16 +19,19 @@ import (
 // pattern of an elimination cannot be known in advance without a ruinous
 // over-approximation (closing the stamped pattern under every possible
 // pivot sequence fills ~half the matrix on real circuits). Instead the
-// numeric factorization detects the first write that lands outside the
-// pattern, the pattern absorbs the pivot row that caused it, and the
-// factorization is restamped and retried. Growth is monotone and bounded,
-// so the pattern converges after the first few solves and the steady state
-// runs with zero misses and zero allocations.
+// numeric factorization stops at the first write that lands outside the
+// pattern. That Newton iteration is then restamped and solved on a dense
+// scratch by the reference eliminator itself (denseSolve), which yields the
+// whole pivot sequence; the pattern absorbs that sequence's symbolic fill
+// closure and is relaid out once. Growth is monotone, a Newton iteration
+// costs one factorization and at most one relayout, and iterations whose
+// pivot sequence the pattern already covers run with zero misses and zero
+// allocations.
 
-// errPatternGrown is returned by the factorization when an elimination
-// update needed a slot outside the current pattern: the pattern has been
-// grown and the caller must restamp and retry.
-var errPatternGrown = errors.New("mna: sparse pattern grown, restamp and retry")
+// errPatternMiss is returned by the factorization when an elimination
+// update needed a slot outside the current pattern: the caller restamps and
+// solves the iteration with denseSolve, which grows the pattern.
+var errPatternMiss = errors.New("mna: elimination fill outside the sparse pattern")
 
 // solver is the reusable linear-system workspace of a circuit: CSR matrix
 // storage, the elimination scratch, and the Newton iterate buffers. It is
@@ -109,13 +112,18 @@ type solver struct {
 	fnVals, fnDps []float64
 
 	// ops lists the op-amp devices, whose Newton-limiting memory
-	// (lastVc/hasLast) advances on every stamp. A restamp after adaptive
-	// pattern growth must replay the same linearization, so newtonFast
-	// snapshots the state here before stamping and restores it before a
-	// retry.
+	// (lastVc/hasLast) advances on every stamp. The restamp of a pattern
+	// miss must replay the same linearization, so newtonFast snapshots the
+	// state here before stamping and restores it before the restamp.
 	ops   []*device
 	opVc  []float64
 	opHas []bool
+
+	// dense and pivRows are denseSolve's scratch: the reduced system as
+	// rows of dim coefficients plus the right-hand side, and the row each
+	// column pivoted on. Allocated on the first pattern miss.
+	dense   [][]float64
+	pivRows []int
 
 	// fast is the SolverFast tier's ordered workspace (fast.go), built
 	// lazily from assembled values and invalidated by layout(): adaptive
@@ -140,15 +148,34 @@ func (s *solver) clear() {
 	}
 }
 
-// grow absorbs the pivot row's pattern tail (columns ≥ col) into row rr
-// after a fill miss; the caller then relayouts, restamps and retries.
-func (s *solver) grow(rr, pr, col int) {
-	dst := s.pat[rr*s.words : (rr+1)*s.words]
-	src := s.pat[pr*s.words : (pr+1)*s.words]
-	w, bit := col/64, uint64(1)<<(col%64)
-	dst[w] |= src[w] &^ (bit - 1)
-	for i := w + 1; i < s.words; i++ {
-		dst[i] |= src[i]
+// absorb grows the pattern by the symbolic fill closure of an elimination
+// whose column k pivoted on row piv[k]: column by column, every row not yet
+// pivoted with a pattern bit at k takes in the pivot row's bits at and
+// beyond k. A row's bit at k is final once column k is reached (later
+// columns add only bits beyond them), so one pass yields every slot the
+// elimination writes: the least pattern these pivots run through without a
+// miss.
+func (s *solver) absorb(piv []int) {
+	pos := s.pos // scratch: the column each row pivots on
+	for r := range pos {
+		pos[r] = len(piv)
+	}
+	for k, r := range piv {
+		pos[r] = k
+	}
+	for k, pr := range piv {
+		w, bit := k/64, uint64(1)<<(k%64)
+		src := s.pat[pr*s.words : (pr+1)*s.words]
+		for r := 0; r < s.dim; r++ {
+			if pos[r] <= k || s.pat[r*s.words+w]&bit == 0 {
+				continue
+			}
+			dst := s.pat[r*s.words : (r+1)*s.words]
+			dst[w] |= src[w] &^ (bit - 1)
+			for i := w + 1; i < s.words; i++ {
+				dst[i] |= src[i]
+			}
+		}
 	}
 }
 
@@ -242,7 +269,7 @@ func (c *Circuit) ensureSolver() (*solver, error) {
 
 // layout (re)derives the value storage and per-device slot lists from the
 // current pattern. It runs once per plan and again after each adaptive
-// pattern growth; stamped values do not survive it — the caller restamps.
+// pattern growth; stamped values do not survive it.
 func (c *Circuit) layout(s *solver) {
 	dim := s.dim
 	s.fast = nil // plan slots are renumbered below; the fast scatter map is stale

@@ -9,7 +9,9 @@ import (
 // This file preserves the original dense allocate-per-solve eliminator as
 // SolverReference: the oracle against which the plan-based exact tier is
 // proven bit-identical (see the corpus equivalence tests). It is never used
-// outside tests unless explicitly selected via Circuit.Solver.
+// outside tests unless explicitly selected via Circuit.Solver, with one
+// exception: the exact tier solves an iteration whose elimination leaves
+// its sparse pattern with this file's eliminate.
 
 // matrix is a dense MNA system Ax = b with ground row/column folded away.
 type matrix struct {
@@ -143,6 +145,26 @@ func (m *matrix) solve() (Solution, error) {
 		copy(a[i], m.a[i+1][1:])
 		a[i][n] = m.rhs[i+1]
 	}
+	x := make(Solution, n+1)
+	if _, err := eliminate(a, x, nil); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// eliminate solves the reduced system a (n rows of n coefficients followed
+// by the right-hand side) in place by Gaussian elimination with partial
+// pivoting, and writes the solution into x[1:]. It is the reference
+// arithmetic: SolverReference runs it on every Newton iteration, and the
+// exact tier runs it on an iteration whose elimination leaves the sparse
+// pattern (solver.denseSolve). When rows is non-nil, rows[col] receives the
+// original index of the row that pivoted on column col. The count of
+// pivoted columns is returned; it is n unless the matrix is singular.
+func eliminate(a [][]float64, x Solution, rows []int) (int, error) {
+	n := len(a)
+	for i := range rows {
+		rows[i] = i
+	}
 	// Per-column magnitude of the original system: the singularity test is
 	// relative to it, so a well-conditioned circuit whose conductances are
 	// uniformly tiny (nano-siemens resistors stamp ~1e-16 entries) is not
@@ -165,9 +187,12 @@ func (m *matrix) solve() (Solution, error) {
 			}
 		}
 		if piv := math.Abs(a[p][col]); scale[col] == 0 || piv < 1e-12*scale[col] {
-			return nil, fmt.Errorf("mna: singular matrix at column %d (floating node?)", col+1)
+			return col, fmt.Errorf("mna: singular matrix at column %d (floating node?)", col+1)
 		}
 		a[col], a[p] = a[p], a[col]
+		if rows != nil {
+			rows[col], rows[p] = rows[p], rows[col]
+		}
 		piv := a[col][col]
 		for r := col + 1; r < n; r++ {
 			f := a[r][col] / piv
@@ -179,7 +204,6 @@ func (m *matrix) solve() (Solution, error) {
 			}
 		}
 	}
-	x := make(Solution, n+1)
 	for r := n - 1; r >= 0; r-- {
 		sum := a[r][n]
 		for k := r + 1; k < n; k++ {
@@ -187,7 +211,7 @@ func (m *matrix) solve() (Solution, error) {
 		}
 		x[r+1] = sum / a[r][r]
 	}
-	return x, nil
+	return n, nil
 }
 
 // newtonRef is the original Newton iteration over the reference matrix; see

@@ -70,8 +70,9 @@ func TestNewtonZeroAllocs(t *testing.T) {
 
 // TestSparsePatternGrowth pins the adaptive-fill path: the chain's op-amp
 // branch rows force elimination fill outside the stamped pattern, the plan
-// grows it mid-factorization, and the converged solution is still bit-exact
-// against the reference solver.
+// absorbs it without restarting the factorization (one factorization per
+// Newton iteration), and the converged solution is still bit-exact against
+// the reference solver.
 func TestSparsePatternGrowth(t *testing.T) {
 	ref := activeChain(6)
 	ref.Solver = SolverReference
@@ -88,6 +89,10 @@ func TestSparsePatternGrowth(t *testing.T) {
 	st := c.SolverStats()
 	if st.Fill == 0 {
 		t.Errorf("stats.Fill = 0: the chain was chosen to force adaptive elimination fill")
+	}
+	if st.Factorizations != st.NewtonIterations {
+		t.Errorf("%d factorizations for %d Newton iterations: a pattern miss restarted the factorization",
+			st.Factorizations, st.NewtonIterations)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("solution length %d, want %d", len(got), len(want))
