@@ -39,14 +39,17 @@ func TestSynthesizeCancelledReturnsNonoptimal(t *testing.T) {
 }
 
 func TestSynthesizeDeadlineOption(t *testing.T) {
-	// An ample deadline changes nothing: same netlist, Nonoptimal unset.
+	// An ample context deadline changes nothing: same netlist, Nonoptimal
+	// unset. The bounded run searches on a fresh pipeline, so the deadline
+	// governs a real search rather than a cache hit.
 	opts := vase.DefaultSynthesisOptions()
 	arch, err := vase.Synthesize(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc}, opts)
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
-	opts.Deadline = time.Hour
-	bounded, err := vase.Synthesize(ctx, nil, vase.Source{Name: "mixer.vhd", Text: mixerSrc}, opts)
+	hour, cancel := context.WithTimeout(ctx, time.Hour)
+	defer cancel()
+	bounded, err := vase.Synthesize(hour, isolated(t), vase.Source{Name: "mixer.vhd", Text: mixerSrc}, opts)
 	if err != nil {
 		t.Fatalf("synthesize with deadline: %v", err)
 	}

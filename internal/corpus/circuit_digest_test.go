@@ -89,7 +89,7 @@ func TestCircuitTraceDigests(t *testing.T) {
 		}
 		for method, methodName := range []string{"be", "trap"} {
 			for _, tier := range tiers {
-				run := runSolverMode(t, b, app.Key, tier.mode, mna.Method(method), 1)
+				run := runSolverMode(t, b, app.Key, tier.mode, mna.Method(method))
 				got[app.Key+"/"+methodName+"/"+tier.name] = circuitDigest(run)
 			}
 		}
@@ -145,7 +145,6 @@ func runLadderSpec(t *testing.T, sp *gen.Spec, res *mapper.Result, mode mna.Solv
 	}
 	c := el.Circuit
 	c.Solver = mode
-	c.Workers = 1
 	run := &solverRun{nodes: c.NumNodes()}
 	dc, err := c.DC()
 	run.dc, run.dcErr = dc, errString(err)

@@ -78,8 +78,8 @@ func TestFastTierWithinBudget(t *testing.T) {
 				if method == mna.Trapezoidal {
 					methodName = "trap"
 				}
-				ref := runSolverMode(t, b, app.Key, mna.SolverReference, method, 1)
-				fast := runSolverMode(t, b, app.Key, mna.SolverFast, method, 1)
+				ref := runSolverMode(t, b, app.Key, mna.SolverReference, method)
+				fast := runSolverMode(t, b, app.Key, mna.SolverFast, method)
 				compareFastRun(t, methodName, ref, fast)
 			}
 		})
@@ -87,9 +87,10 @@ func TestFastTierWithinBudget(t *testing.T) {
 }
 
 // TestFastTierDeterministic pins the property that makes fast-tier results
-// cacheable: repeated fast runs are byte-identical, including across AC
-// worker counts (the transient is single-threaded; the parallel AC sweep
-// must not perturb it).
+// cacheable: repeated fast runs are byte-identical (the transient is
+// single-threaded; the AC sweep's fan-out must not perturb it, and
+// internal/mna's TestACParallelDeterministic pins it across worker
+// counts).
 func TestFastTierDeterministic(t *testing.T) {
 	for _, app := range Applications() {
 		app := app
@@ -98,11 +99,9 @@ func TestFastTierDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			first := runSolverMode(t, b, app.Key, mna.SolverFast, mna.BackwardEuler, 1)
-			again := runSolverMode(t, b, app.Key, mna.SolverFast, mna.BackwardEuler, 1)
+			first := runSolverMode(t, b, app.Key, mna.SolverFast, mna.BackwardEuler)
+			again := runSolverMode(t, b, app.Key, mna.SolverFast, mna.BackwardEuler)
 			compareRuns(t, "rerun", first, again)
-			workers := runSolverMode(t, b, app.Key, mna.SolverFast, mna.BackwardEuler, 8)
-			compareRuns(t, "workers=8", first, workers)
 		})
 	}
 }

@@ -85,7 +85,7 @@ func errString(err error) string {
 	return err.Error()
 }
 
-func runSolverMode(t *testing.T, b *Build, key string, mode mna.SolverMode, method mna.Method, workers int) *solverRun {
+func runSolverMode(t *testing.T, b *Build, key string, mode mna.SolverMode, method mna.Method) *solverRun {
 	t.Helper()
 	el, err := mna.Elaborate(b.Result.Netlist, mnaInputs(key))
 	if err != nil {
@@ -93,7 +93,6 @@ func runSolverMode(t *testing.T, b *Build, key string, mode mna.SolverMode, meth
 	}
 	c := el.Circuit
 	c.Solver = mode
-	c.Workers = workers
 	c.SetMethod(method)
 	run := &solverRun{nodes: c.NumNodes()}
 	dc, err := c.DC()
@@ -183,10 +182,10 @@ func compareRuns(t *testing.T, label string, ref, got *solverRun) {
 }
 
 // TestSolverEquivalenceAllApps pins the tentpole guarantee of the sparse
-// allocation-free MNA core: for every corpus benchmark, the exact tier and
-// its parallel AC sweep produce DC/transient/AC results byte-identical to
-// the original allocate-per-solve reference eliminator, under both
-// integration methods.
+// allocation-free MNA core: for every corpus benchmark, the exact tier
+// (whose AC sweep fans out across GOMAXPROCS workers) produces
+// DC/transient/AC results byte-identical to the original
+// allocate-per-solve reference eliminator, under both integration methods.
 func TestSolverEquivalenceAllApps(t *testing.T) {
 	for _, app := range Applications() {
 		app := app
@@ -200,19 +199,9 @@ func TestSolverEquivalenceAllApps(t *testing.T) {
 				if method == mna.Trapezoidal {
 					methodName = "trap"
 				}
-				ref := runSolverMode(t, b, app.Key, mna.SolverReference, method, 1)
-				cases := []struct {
-					label   string
-					mode    mna.SolverMode
-					workers int
-				}{
-					{methodName + "/exact", mna.SolverAuto, 1},
-					{methodName + "/exact-parallel-ac", mna.SolverAuto, 8},
-				}
-				for _, tc := range cases {
-					got := runSolverMode(t, b, app.Key, tc.mode, method, tc.workers)
-					compareRuns(t, tc.label, ref, got)
-				}
+				ref := runSolverMode(t, b, app.Key, mna.SolverReference, method)
+				got := runSolverMode(t, b, app.Key, mna.SolverAuto, method)
+				compareRuns(t, methodName+"/exact", ref, got)
 			}
 		})
 	}

@@ -258,7 +258,7 @@ func errText(err error) string {
 // the circuit-level DC + short-transient + short AC sweep observation under
 // a solver mode — the shared harness of the solver and fast campaign pairs.
 // The AC stimulus is the spec's first input in name order.
-func specObserver(sp *Spec, res *mapper.Result) func(mode mna.SolverMode, workers int) (*solverObservation, error) {
+func specObserver(sp *Spec, res *mapper.Result) func(mode mna.SolverMode) (*solverObservation, error) {
 	waves := make(map[string]mna.Waveform, len(sp.Inputs))
 	first := ""
 	for name, w := range sp.Inputs { //vase:unordered (map-to-map conversion and minimum key)
@@ -267,14 +267,13 @@ func specObserver(sp *Spec, res *mapper.Result) func(mode mna.SolverMode, worker
 			first = name
 		}
 	}
-	return func(mode mna.SolverMode, workers int) (*solverObservation, error) {
+	return func(mode mna.SolverMode) (*solverObservation, error) {
 		el, err := mna.Elaborate(res.Netlist, waves)
 		if err != nil {
 			return nil, fmt.Errorf("elaborate: %w", err)
 		}
 		c := el.Circuit
 		c.Solver = mode
-		c.Workers = workers
 		o := &solverObservation{nodes: c.NumNodes()}
 		dc, err := c.DC()
 		o.dc, o.dcErr = dc, errText(err)
@@ -301,19 +300,16 @@ func pairSolver(sp *Spec) error {
 		return fmt.Errorf("synthesize: %w", err)
 	}
 	observe := specObserver(sp, res)
-	ref, err := observe(mna.SolverReference, 1)
+	ref, err := observe(mna.SolverReference)
 	if err != nil {
 		return err
 	}
-	// Circuit.Workers only fans out the AC sweep, which must not change it.
-	for _, workers := range []int{1, 2} {
-		got, err := observe(mna.SolverAuto, workers)
-		if err != nil {
-			return fmt.Errorf("exact/%d-workers: %w", workers, err)
-		}
-		if err := compareObservations(ref, got); err != nil {
-			return fmt.Errorf("exact/%d-workers vs reference: %w", workers, err)
-		}
+	got, err := observe(mna.SolverAuto)
+	if err != nil {
+		return fmt.Errorf("exact: %w", err)
+	}
+	if err := compareObservations(ref, got); err != nil {
+		return fmt.Errorf("exact vs reference: %w", err)
 	}
 	return nil
 }
@@ -341,11 +337,11 @@ func pairFast(sp *Spec) error {
 		return fmt.Errorf("synthesize: %w", err)
 	}
 	observe := specObserver(sp, res)
-	ref, err := observe(mna.SolverReference, 1)
+	ref, err := observe(mna.SolverReference)
 	if err != nil {
 		return err
 	}
-	fast, err := observe(mna.SolverFast, 1)
+	fast, err := observe(mna.SolverFast)
 	if err != nil {
 		return fmt.Errorf("fast: %w", err)
 	}
@@ -366,7 +362,7 @@ func pairFast(sp *Spec) error {
 			return fmt.Errorf("transient outside budget: %w", err)
 		}
 	}
-	again, err := observe(mna.SolverFast, 1)
+	again, err := observe(mna.SolverFast)
 	if err != nil {
 		return fmt.Errorf("fast rerun: %w", err)
 	}

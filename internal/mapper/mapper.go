@@ -89,11 +89,6 @@ type Options struct {
 	// binding cap truncates the search: the best incumbent found so far is
 	// returned with Result.Nonoptimal set.
 	MaxNodes int
-	// Deadline bounds the wall-clock time of the search (0 = none). It is
-	// applied on top of any context passed to SynthesizeContext; on expiry
-	// the search stops and returns the incumbent with Result.Nonoptimal
-	// set (the anytime contract, DESIGN.md §9).
-	Deadline time.Duration
 	// Deprecated: ignored; the search is sequential.
 	Workers int
 	// Performance constraints: complete mappings violating them are
@@ -171,11 +166,6 @@ func Synthesize(m *vhif.Module, opts Options) (*Result, error) {
 // cancelled leaves the search byte-identical to Synthesize.
 func SynthesizeContext(ctx context.Context, m *vhif.Module, opts Options) (*Result, error) {
 	start := time.Now() //vase:walltime (stats telemetry)
-	if opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-		defer cancel()
-	}
 	if opts.Process.Name == "" {
 		opts.Process = estimate.SCN20
 	}

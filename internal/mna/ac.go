@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/cmplx"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -90,15 +91,30 @@ func (c *Circuit) AC(acSource string, freqs []float64) (*ACResult, error) {
 // ACContext is AC under a context, checked between frequency points: a
 // cancelled or deadlined sweep returns the prefix solved so far with
 // Truncated set, mirroring the transient simulator's anytime contract.
+// A frequency that is NaN, infinite or negative is an error.
 //
-// The sweep fans out across Circuit.Workers goroutines (0 = all CPUs):
-// frequency points are independent complex solves over the same structure,
-// dispatched by an ascending atomic counter to per-worker workspaces.
-// Every worker count produces the identical result — each point's
-// arithmetic is self-contained, results land in preallocated per-point
-// slots, a failing sweep always reports the lowest failing frequency, and
-// cancellation truncates to the contiguous prefix of completed points.
+// The plan tiers fan the sweep out across GOMAXPROCS goroutines; every
+// worker count produces the identical result (see acSweep).
 func (c *Circuit) ACContext(ctx context.Context, acSource string, freqs []float64) (*ACResult, error) {
+	return c.acSweep(ctx, acSource, freqs, runtime.GOMAXPROCS(0))
+}
+
+// acSweep is the one AC sweep loop of every tier. Frequency points are
+// independent complex solves over the same structure, dispatched in
+// ascending order by an atomic counter to at most workers goroutines, each
+// with its own point solver. Every worker count produces the identical
+// result: each point's arithmetic is self-contained, solutions and errors
+// land in per-point slots, a worker stops at its own first failure, and
+// after the wait the first unsolved point is the truncation point if the
+// context ended, and otherwise the lowest failing point, whose error is
+// returned. The reference tier runs on one worker: its behavioral (dFunc)
+// closures share scratch.
+func (c *Circuit) acSweep(ctx context.Context, acSource string, freqs []float64, workers int) (*ACResult, error) {
+	for _, f := range freqs {
+		if !(f >= 0 && f <= math.MaxFloat64) {
+			return nil, fmt.Errorf("mna: AC frequency %g Hz is not finite and non-negative", f)
+		}
+	}
 	op, err := c.DCContext(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -108,134 +124,87 @@ func (c *Circuit) ACContext(ctx context.Context, acSource string, freqs []float6
 		}
 		return nil, fmt.Errorf("mna: AC operating point: %w", err)
 	}
-	c.assignBranches()
-
-	found := false
-	for _, d := range c.devices {
-		if d.kind == dVSource && d.name == acSource {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.ContainsFunc(c.devices, func(d *device) bool { return d.kind == dVSource && d.name == acSource }) {
 		return nil, fmt.Errorf("mna: no voltage source %q for the AC stimulus", acSource)
 	}
 
-	res := &ACResult{Freqs: freqs, V: map[Node][]complex128{}, c: c}
+	// newPoint returns one worker's point solver. The returned solution is
+	// 1-based and valid until the solver's next call.
+	newPoint := func() func(f float64) ([]complex128, error) {
+		return func(f float64) ([]complex128, error) { return c.acSolve(op, acSource, f) }
+	}
 	if c.Solver == SolverReference {
-		for fi, f := range freqs {
-			if ctx.Err() != nil {
-				res.Freqs = freqs[:fi]
-				res.Truncated = true
-				return res, nil
-			}
-			sol, err := c.acSolve(op, acSource, f)
-			if err != nil {
-				return nil, fmt.Errorf("mna: AC at %g Hz: %w", f, err)
-			}
-			c.stats.Factorizations++
-			for i := 1; i <= c.nodes; i++ {
-				res.V[Node(i)] = append(res.V[Node(i)], sol[i])
+		workers = 1
+	} else {
+		s, err := c.ensureSolver()
+		if err != nil {
+			return nil, err
+		}
+		tmpl := c.buildACTemplate(s, op, acSource)
+		newPoint = func() func(f float64) ([]complex128, error) {
+			ws := newACWorkspace(s)
+			return func(f float64) ([]complex128, error) {
+				err := ws.solvePoint(s, tmpl, f)
+				return ws.x, err
 			}
 		}
-		return res, nil
 	}
 
-	s, err := c.ensureSolver()
-	if err != nil {
-		return nil, err
-	}
-	tmpl := c.buildACTemplate(s, op, acSource)
-	dim := s.dim
-
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(freqs) {
-		workers = len(freqs)
-	}
-
-	// Per-point solution slots (no append contention) and completion
-	// marks; each index is written by exactly one worker.
-	sols := make([]complex128, len(freqs)*(dim+1))
-	done := make([]bool, len(freqs))
+	// Node voltages by node, then by point: back holds one column per node.
+	nf := len(freqs)
+	back := make([]complex128, c.nodes*nf)
+	errs := make([]error, nf)
+	done := make([]bool, nf)
 	var (
-		next    atomic.Int64
-		mu      sync.Mutex
-		failIdx = -1
-		failErr error
-		wg      sync.WaitGroup
+		next atomic.Int64
+		wg   sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, nf); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := newACWorkspace(s)
+			solve := newPoint()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(freqs) || ctx.Err() != nil {
+				if i >= nf || ctx.Err() != nil {
 					return
 				}
-				mu.Lock()
-				bail := failIdx >= 0 && failIdx < i
-				mu.Unlock()
-				if bail {
+				x, err := solve(freqs[i])
+				if err != nil {
+					errs[i] = err
 					return
 				}
-				if err := ws.solvePoint(s, tmpl, freqs[i]); err != nil {
-					mu.Lock()
-					if failIdx < 0 || i < failIdx {
-						failIdx = i
-						failErr = fmt.Errorf("mna: AC at %g Hz: %w", freqs[i], err)
-					}
-					mu.Unlock()
-					continue
+				for n := 0; n < c.nodes; n++ {
+					back[n*nf+i] = x[n+1]
 				}
-				copy(sols[i*(dim+1):(i+1)*(dim+1)], ws.x)
 				done[i] = true
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Contiguous prefix of completed points: with ascending dispatch this
-	// is everything on success, and the lowest failing index is always
-	// attempted, so a genuine failure is reported deterministically.
 	solved := 0
-	for solved < len(freqs) && done[solved] {
+	for solved < nf && done[solved] {
 		solved++
 	}
 	c.stats.Factorizations += int64(solved)
-	if solved < len(freqs) {
-		if ctx.Err() != nil {
-			res.Freqs = freqs[:solved]
-			res.Truncated = true
-		} else {
-			if failErr == nil {
-				failErr = fmt.Errorf("mna: AC sweep stalled at %g Hz", freqs[solved])
-			}
-			return nil, failErr
+	res := &ACResult{Freqs: freqs, V: make(map[Node][]complex128, c.nodes), c: c}
+	if solved < nf {
+		if ctx.Err() == nil {
+			return nil, fmt.Errorf("mna: AC at %g Hz: %w", freqs[solved], errs[solved])
 		}
+		res.Freqs = freqs[:solved]
+		res.Truncated = true
 	}
-	for i := 1; i <= c.nodes; i++ {
-		col := make([]complex128, solved)
-		for fi := 0; fi < solved; fi++ {
-			col[fi] = sols[fi*(dim+1)+i]
-		}
-		res.V[Node(i)] = col
+	for n := 0; n < c.nodes; n++ {
+		res.V[Node(n+1)] = back[n*nf : n*nf+solved : n*nf+solved]
 	}
 	return res, nil
 }
 
 // acSolve assembles and solves the complex linearized system at frequency f.
 func (c *Circuit) acSolve(op Solution, acSource string, f float64) ([]complex128, error) {
-	dim := c.nodes
-	for _, d := range c.devices {
-		switch d.kind {
-		case dVSource, dVCVS, dOpAmp, dFunc:
-			dim++
-		}
-	}
+	dim := c.nodes + c.assignBranches()
 	a := make([][]complex128, dim+1)
 	for i := range a {
 		a[i] = make([]complex128, dim+2) // last column is the RHS
@@ -322,42 +291,68 @@ func (c *Circuit) acSolve(op Solution, acSource string, f float64) ([]complex128
 		}
 	}
 
-	// Gaussian elimination over the reduced complex system (drop ground).
-	n := dim
-	m := make([][]complex128, n)
-	for i := 0; i < n; i++ {
-		m[i] = make([]complex128, n+1)
-		copy(m[i], a[i+1][1:])
+	// Reduced complex system: drop the ground row and column.
+	m := make([][]complex128, dim)
+	for i := range m {
+		m[i] = a[i+1][1:]
 	}
+	x := make([]complex128, dim+1)
+	if err := eliminateAC(m, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// eliminateAC solves the reduced complex system m (n rows of n coefficients
+// followed by the right-hand side) into the 1-based solution x by Gaussian
+// elimination with partial pivoting, overwriting m and permuting its rows.
+// It is the one complex eliminator: the reference tier's acSolve and the
+// plan tiers' sparse-miss path both run it. The pivot is the largest
+// cmplx.Abs in row order, the earlier row on ties; a pivot modulus below
+// the absolute 1e-15 threshold is singular.
+func eliminateAC(m [][]complex128, x []complex128) error {
+	n := len(m)
 	for col := 0; col < n; col++ {
 		p := col
+		pv := cmplx.Abs(m[col][col])
 		for r := col + 1; r < n; r++ {
-			if cmplx.Abs(m[r][col]) > cmplx.Abs(m[p][col]) {
-				p = r
+			if av := cmplx.Abs(m[r][col]); av > pv {
+				p, pv = r, av
 			}
 		}
-		if cmplx.Abs(m[p][col]) < 1e-15 {
-			return nil, fmt.Errorf("singular AC matrix at column %d", col+1)
+		if pv < 1e-15 {
+			return fmt.Errorf("singular AC matrix at column %d", col+1)
 		}
 		m[col], m[p] = m[p], m[col]
-		piv := m[col][col]
+		prow := m[col][col : n+1]
+		piv := prow[0]
+		// 0/piv is an exact zero, and so a skipped row, unless piv holds
+		// a NaN: testing the numerator first saves the complex division.
+		zeroSkips := !cmplx.IsNaN(piv)
 		for r := col + 1; r < n; r++ {
-			fac := m[r][col] / piv
+			num := m[r][col]
+			if num == 0 && zeroSkips {
+				continue
+			}
+			fac := num / piv
 			if fac == 0 {
 				continue
 			}
-			for k := col; k <= n; k++ {
-				m[r][k] -= fac * m[col][k]
+			row := m[r][col : n+1]
+			row = row[:len(prow)]
+			for k, pk := range prow {
+				row[k] -= fac * pk
 			}
 		}
 	}
-	x := make([]complex128, n+1)
 	for r := n - 1; r >= 0; r-- {
-		sum := m[r][n]
+		row := m[r]
+		sum := row[n]
 		for k := r + 1; k < n; k++ {
-			sum -= m[r][k] * x[k+1]
+			sum -= row[k] * x[k+1]
 		}
-		x[r+1] = sum / m[r][r]
+		x[r+1] = sum / row[r]
 	}
-	return x, nil
+	x[0] = 0
+	return nil
 }

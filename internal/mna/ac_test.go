@@ -1,6 +1,7 @@
 package mna
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -105,42 +106,149 @@ func TestMagDB(t *testing.T) {
 	}
 }
 
-// TestACDenseFallbackLazyAndReused pins the dense-fallback economics: a
-// worker that never misses the sparse pattern must not carry dense storage
-// at all, and a worker that misses repeatedly must allocate it exactly once
-// and reuse it on every later miss.
-func TestACDenseFallbackLazyAndReused(t *testing.T) {
-	c := activeChain(7)
-	op, err := c.DC()
-	if err != nil {
-		t.Fatal(err)
+// TestACMissPathMatchesReference pins the plan tiers' sparse-miss path: a
+// point that stays in the pattern allocates no dense scratch, a workspace
+// allocates its scratch once and then solves every missed point without
+// allocating, and every missed point equals the reference's acSolve at the
+// same frequency, bit for bit.
+func TestACMissPathMatchesReference(t *testing.T) {
+	// sweepState linearizes activeChain(7) at the operating point of the
+	// given tier and returns its AC template and a fresh workspace.
+	sweepState := func(mode SolverMode) (*Circuit, Solution, *solver, *acTemplate, *acWorkspace) {
+		c := activeChain(7)
+		c.Solver = mode
+		op, err := c.DC()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := c.ensureSolver()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, op, s, c.buildACTemplate(s, op, "vin"), newACWorkspace(s)
 	}
-	s, err := c.ensureSolver()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmpl := c.buildACTemplate(s, op, "vin")
-	ws := newACWorkspace(s)
+
+	// The exact tier's DC grows the pattern by its real pivots' fill, which
+	// holds this point's complex elimination.
+	_, _, s, tmpl, ws := sweepState(SolverAuto)
 	if err := ws.solvePoint(s, tmpl, 1e3); err != nil {
 		t.Fatal(err)
 	}
-	if ws.dvals != nil {
-		t.Fatal("dense fallback storage allocated without a pattern miss")
+	if ws.dense != nil {
+		t.Fatal("dense scratch allocated without a pattern miss")
 	}
-	// Drive the miss path directly (a real miss needs a pivot walk outside
-	// the adaptively grown pattern, which well-formed circuits rarely do).
-	if err := ws.denseFallback(s, tmpl, 1e3); err != nil {
-		t.Fatal(err)
-	}
-	if len(ws.dvals) != len(tmpl.dvals) {
-		t.Fatalf("dense storage sized %d, want %d", len(ws.dvals), len(tmpl.dvals))
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := ws.denseFallback(s, tmpl, 2e3); err != nil {
+
+	// The fast tier's DC leaves the exact plan without fill, so every
+	// complex elimination leaves the pattern.
+	c, op, s, tmpl, ws := sweepState(SolverFast)
+	for i, f := range LogSweep(10, 1e8, 256) {
+		ws.load(tmpl, f)
+		if err := ws.sparseFactorSolve(s); err != errACSparseMiss {
+			t.Fatalf("%g Hz: sparse elimination returned %v, want a pattern miss", f, err)
+		}
+		if i == 0 && ws.dense != nil {
+			t.Fatal("dense scratch allocated before the first miss")
+		}
+		if err := ws.solvePoint(s, tmpl, f); err != nil {
+			t.Fatalf("%g Hz: %v", f, err)
+		}
+		if i == 0 {
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := ws.solvePoint(s, tmpl, f); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("missed point: %v allocs, want 0 (the scratch must be reused)", allocs)
+			}
+		}
+		want, err := c.acSolve(op, "vin", f)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("repeated dense fallback: %v allocs/op, want 0 (workspace must be reused)", allocs)
+		for k := range want {
+			if !complexBitsEqual(ws.x[k], want[k]) {
+				t.Fatalf("%g Hz x[%d] = %v, reference %v", f, k, ws.x[k], want[k])
+			}
+		}
+	}
+}
+
+func complexBitsEqual(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestACFailureReportsLowestPoint pins the failure rule of the sweep: a
+// node tied to ground only by a 1 pF capacitor is singular at the sweep's
+// two sub-millihertz points, and every tier, at every worker count,
+// reports the earlier of them in sweep order.
+func TestACFailureReportsLowestPoint(t *testing.T) {
+	const want = "mna: AC at 1e-05 Hz: singular AC matrix at column 3"
+	freqs := []float64{1e3, 1e4, 1e-5, 1e5, 1e-6, 1e6}
+	build := func(mode SolverMode) *Circuit {
+		c := New()
+		in := c.NodeByName("in")
+		out := c.NodeByName("out")
+		float := c.NodeByName("float")
+		c.AddV("vin", in, Ground, func(float64) float64 { return 0 })
+		c.AddR("r", in, out, 1e3)
+		c.AddR("rl", out, Ground, 1e3)
+		c.AddC("cf", float, Ground, 1e-12, 0)
+		c.Solver = mode
+		return c
+	}
+	for _, tier := range []struct {
+		name string
+		mode SolverMode
+	}{{"reference", SolverReference}, {"exact", SolverAuto}, {"fast", SolverFast}} {
+		if _, err := build(tier.mode).AC("vin", freqs); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", tier.name, err, want)
+		}
+		if tier.mode == SolverReference {
+			continue
+		}
+		for _, workers := range []int{1, 2, 8} {
+			_, err := build(tier.mode).acSweep(context.Background(), "vin", freqs, workers)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s at %d workers: error %v, want %q", tier.name, workers, err, want)
+			}
+		}
+	}
+}
+
+// TestACRejectsBadFrequencies pins the sweep's input check: a frequency
+// that is NaN, infinite or negative is an error on every tier, naming the
+// first such frequency, before any operating point is computed.
+func TestACRejectsBadFrequencies(t *testing.T) {
+	for _, tc := range []struct {
+		freqs []float64
+		bad   string
+	}{
+		{[]float64{math.NaN(), -5, math.Inf(1)}, "NaN"},
+		{[]float64{1e3, -5, math.Inf(1)}, "-5"},
+		{[]float64{0, 1e3, math.Inf(1)}, "+Inf"},
+		{[]float64{math.Inf(-1)}, "-Inf"},
+	} {
+		for _, tier := range []struct {
+			name string
+			mode SolverMode
+		}{{"reference", SolverReference}, {"exact", SolverAuto}, {"fast", SolverFast}} {
+			c := New()
+			in := c.NodeByName("in")
+			out := c.NodeByName("out")
+			c.AddV("vin", in, Ground, func(float64) float64 { return 0 })
+			c.AddR("r", in, out, 10e3)
+			c.AddC("c", out, Ground, 10e-9, 0)
+			c.Solver = tier.mode
+			_, err := c.AC("vin", tc.freqs)
+			want := "mna: AC frequency " + tc.bad + " Hz is not finite and non-negative"
+			if err == nil || err.Error() != want {
+				t.Errorf("%s, freqs %v: error %v, want %q", tier.name, tc.freqs, err, want)
+			}
+			if st := c.SolverStats(); st.NewtonIterations != 0 {
+				t.Errorf("%s, freqs %v: %d Newton iterations before the check", tier.name, tc.freqs, st.NewtonIterations)
+			}
+		}
 	}
 }

@@ -196,10 +196,6 @@ type Circuit struct {
 
 	// Solver selects the linear-solver tier (see SolverMode).
 	Solver SolverMode
-	// Workers bounds the AC-sweep fan-out (0 = all CPUs, 1 = sequential).
-	// It applies to AC only: DC and transient analyses run on one
-	// goroutine. Every worker count produces the identical sweep.
-	Workers int
 	// Budget is the SolverFast error budget: the fast tier's traces are
 	// guaranteed to stay within it of the SolverReference traces,
 	// point for point (zero fields take the documented defaults; other

@@ -202,9 +202,7 @@ func TestACParallelDeterministic(t *testing.T) {
 	freqs := LogSweep(10, 1e7, 97)
 	sweep := func(workers int) *ACResult {
 		t.Helper()
-		c := activeChain(7)
-		c.Workers = workers
-		res, err := c.AC("vin", freqs)
+		res, err := activeChain(7).acSweep(context.Background(), "vin", freqs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -302,11 +300,11 @@ func BenchmarkACSweepParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			c := activeChain(7)
-			c.Workers = workers
+			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.AC("vin", freqs); err != nil {
+				if _, err := c.acSweep(ctx, "vin", freqs, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -129,7 +129,7 @@ func SpiceKey(netlistData string, inputs map[string]string, tstop, tstep float64
 
 // MapKey is the content address of an architecture-generation result: the
 // serialized VHIF input, the canonical synthesis options (result-neutral
-// fields — Workers, Deadline, MaxNodes, Trace — excluded; see
+// fields — Workers, MaxNodes, Trace — excluded; see
 // mapper.Options.Canonical), and the fingerprints of the cell library and
 // the pattern-generation rules the search draws candidates from.
 func MapKey(vhifText string, opts mapper.Options) Key {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"vase/internal/library"
 	"vase/internal/lint"
@@ -18,7 +17,6 @@ import (
 // (Trace, which bypasses the cache).
 var resultNeutral = map[string]bool{
 	"Workers":  true,
-	"Deadline": true,
 	"MaxNodes": true,
 	"Trace":    true,
 }
@@ -175,7 +173,6 @@ func TestGoldenCanonicalOptions(t *testing.T) {
 	}
 	bounded := mapper.DefaultOptions()
 	bounded.Workers = 7
-	bounded.Deadline = time.Second
 	bounded.MaxNodes = 99
 	bounded.Trace = true
 	if bounded.Canonical() != goldenDefaultCanonical {

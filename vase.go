@@ -258,11 +258,11 @@ func ParseVHIF(text string) (*vhif.Module, error) { return vhif.Parse(text) }
 
 // SynthesizeModule runs the architecture generator directly on a VHIF
 // module (for example one read with ParseVHIF) through p (nil =
-// DefaultPipeline()). Cancellation and Options.Deadline make the
-// branch-and-bound search anytime: instead of failing, it returns the best
-// implementation found so far with Architecture.Nonoptimal set (the result
-// is a valid netlist, just without an optimality proof). Truncated results
-// are never cached.
+// DefaultPipeline()). The context makes the branch-and-bound search
+// anytime: on cancellation or deadline expiry, instead of failing, it
+// returns the best implementation found so far with
+// Architecture.Nonoptimal set (the result is a valid netlist, just without
+// an optimality proof). Truncated results are never cached.
 func SynthesizeModule(ctx context.Context, p *Pipeline, m *vhif.Module, opts SynthesisOptions) (*Architecture, error) {
 	res, cached, err := orDefault(p).SynthesizeModule(ctx, m, opts)
 	if err != nil {
@@ -327,10 +327,6 @@ type Architecture struct {
 	// cache instead of running the branch-and-bound search; Stats then
 	// describes the original search that produced the cached artifact.
 	Cached bool
-	// SimWorkers bounds the fan-out of the parallel AC sweep (0 = all
-	// CPUs, 1 = sequential). It applies to AC only: a transient runs on one
-	// goroutine. Every worker count produces bitwise-identical results.
-	SimWorkers int
 	// SimSolver selects the MNA solver tier for the Spice and AC
 	// verification steps. The zero value is the exact planned engine
 	// (bit-identical to mna.SolverReference); mna.SolverFast trades
@@ -515,8 +511,15 @@ func (r *ACResponse) MagDB(name string) []float64 {
 // DC values (zero). The context is checked between frequency points: a
 // cancelled or deadlined sweep returns the prefix of points solved so far
 // with ACResponse.Truncated set, matching the anytime contract of the
-// transient simulators.
+// transient simulators. The sweep needs at least one point and finite
+// bounds above zero.
 func (a *Architecture) AC(ctx context.Context, stimulus string, f1, f2 float64, points int) (*ACResponse, error) {
+	if points < 1 {
+		return nil, fmt.Errorf("vase: AC sweep needs at least one point, got %d", points)
+	}
+	if !(f1 > 0 && f1 <= math.MaxFloat64 && f2 > 0 && f2 <= math.MaxFloat64) {
+		return nil, fmt.Errorf("vase: AC sweep bounds %g and %g Hz must be finite and above zero", f1, f2)
+	}
 	waves := zeroInputs(a.Netlist)
 	if _, ok := waves[stimulus]; !ok {
 		return nil, fmt.Errorf("vase: no input port %q for the AC stimulus", stimulus)
@@ -525,7 +528,6 @@ func (a *Architecture) AC(ctx context.Context, stimulus string, f1, f2 float64, 
 	if err != nil {
 		return nil, err
 	}
-	el.Circuit.Workers = a.SimWorkers
 	el.Circuit.Solver = a.SimSolver
 	el.Circuit.Budget = a.SimBudget
 	freqs := mna.LogSweep(f1, f2, points)

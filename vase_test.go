@@ -237,6 +237,20 @@ end architecture;`
 	if _, err := arch.AC(ctx, "ghost", 10, 100, 3); err == nil {
 		t.Error("expected error for unknown stimulus port")
 	}
+	for _, bad := range []struct {
+		f1, f2 float64
+		points int
+	}{
+		{10, 100, 0},
+		{0, 1e6, 16},
+		{-10, 100, 3},
+		{10, math.Inf(1), 3},
+		{math.NaN(), 100, 3},
+	} {
+		if _, err := arch.AC(ctx, "vin", bad.f1, bad.f2, bad.points); err == nil {
+			t.Errorf("AC(%g, %g, %d points): expected an unsolvable-sweep error", bad.f1, bad.f2, bad.points)
+		}
+	}
 }
 
 func TestSizingAPI(t *testing.T) {
