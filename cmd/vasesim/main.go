@@ -61,7 +61,7 @@ func main() {
 	csvPath := flag.String("csv", "", "also write the full trace as CSV to this file")
 	benchmark := flag.String("benchmark", "", "simulate a built-in benchmark")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline; an expired simulation prints the partial trace (0 = none)")
-	maxSteps := flag.Int("max-steps", 0, "integration step budget; the trace is truncated on exhaustion (0 = unlimited)")
+	maxSteps := flag.Int("max-steps", 0, "integration step budget of -level vhif and netlist; the trace is truncated on exhaustion (0 = unlimited)")
 	cache := cliopt.CacheFlags("compile and synthesis artifacts")
 	solverStats := flag.Bool("stats", false, "print linear-solver statistics to stderr on exit (circuit level only)")
 	solver := vase.SolverExact
@@ -70,6 +70,12 @@ func main() {
 	abstol := flag.Float64("abstol", 0, "fast-tier absolute error budget in volts (0 = default)")
 	checkAsserts := flag.Bool("assert", false, "evaluate the source's '-- assert:' pragmas against the trace; FAIL exits nonzero (truncated traces resolve to UNKNOWN)")
 	flag.Parse()
+	if *maxSteps < 0 {
+		usage(fmt.Errorf("-max-steps must be >= 0 (0 = unlimited), got %d", *maxSteps))
+	}
+	if *maxSteps > 0 && *level == "circuit" {
+		usage(fmt.Errorf("-max-steps bounds -level vhif and netlist only; bound -level circuit with -timeout"))
+	}
 
 	pipe, report, err := cache.Open()
 	if err != nil {

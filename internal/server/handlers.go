@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
+	"sort"
 
 	"vase/internal/diag"
 	"vase/internal/lint"
@@ -304,6 +307,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) *httpErr
 	if req.Level != "circuit" && (req.Solver != "" || req.RelTol != 0 || req.AbsTol != 0) {
 		return errorf(http.StatusBadRequest, "solver/reltol/abstol select the MNA tier and require level \"circuit\"")
 	}
+	if req.MaxSteps < 0 {
+		return errorf(http.StatusBadRequest, "max_steps must be >= 0 (0 = unlimited), got %d", req.MaxSteps)
+	}
+	if req.Level == "circuit" && req.MaxSteps > 0 {
+		return errorf(http.StatusBadRequest, "max_steps bounds the behavioral level only; timeout_ms bounds level \"circuit\"")
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.TimeoutMS))
 	defer cancel()
 
@@ -329,19 +338,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) *httpErr
 	if serr != nil {
 		return ctxError(ctx, serr)
 	}
-	status := http.StatusOK
-	if tr.Truncated {
-		// A deadline-truncated trace is a partial answer, like a truncated
-		// search: say so in the status, not just the body.
-		status = http.StatusPartialContent
-		s.met.degraded.Add(1)
-	}
 	resp := simulateResponse{Time: decimate(tr.Time, req.Every), Truncated: tr.Truncated, Signals: map[string][]float64{}}
 	for name, samples := range tr.Signals {
 		resp.Signals[name] = decimate(samples, req.Every)
 	}
-	s.reply(w, "simulate", status, resp)
-	return nil
+	return s.replyTrace(w, resp)
 }
 
 // handleSimulateCircuit is the circuit-level branch of /v1/simulate:
@@ -363,24 +364,56 @@ func (s *Server) handleSimulateCircuit(ctx context.Context, w http.ResponseWrite
 		return ctxError(ctx, err)
 	}
 	tr := sr.Tran
-	status := http.StatusOK
-	if tr.Truncated {
-		status = http.StatusPartialContent
-		s.met.degraded.Add(1)
-	}
 	resp := simulateResponse{Time: decimate(tr.Time, req.Every), Truncated: tr.Truncated, Signals: map[string][]float64{}}
 	for _, p := range cr.Module.Ports {
 		if samples := sr.Elab.V(tr, p.Name); samples != nil {
 			resp.Signals[p.Name] = decimate(samples, req.Every)
 		}
 	}
+	return s.replyTrace(w, resp)
+}
+
+// replyTrace answers a simulate request at either level. A sample JSON
+// cannot carry is a 422 naming it; a truncated trace is a partial answer,
+// like a truncated search, so it says so in the status (206), not just
+// the body.
+func (s *Server) replyTrace(w http.ResponseWriter, resp simulateResponse) *httpError {
+	names := make([]string, 0, len(resp.Signals))
+	for name := range resp.Signals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for i, v := range resp.Signals[name] {
+			if err := finiteSample(name, v, resp.Time[i]); err != nil {
+				return errorf(http.StatusUnprocessableEntity, "%v", err)
+			}
+		}
+	}
+	status := http.StatusOK
+	if resp.Truncated {
+		status = http.StatusPartialContent
+		s.met.degraded.Add(1)
+	}
 	s.reply(w, "simulate", status, resp)
 	return nil
 }
 
+// finiteSample reports a sample value JSON cannot carry: NaN or ±Inf.
+func finiteSample(name string, v, t float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("simulate: signal %q is %g at t=%g: JSON cannot carry non-finite samples", name, v, t)
+	}
+	return nil
+}
+
 // decimate keeps every n-th sample, starting with the first; no samples
-// give nil, which the JSON body encodes as null.
+// give nil, which the JSON body encodes as null. At n = 1 it returns the
+// samples themselves: the reply only reads them.
 func decimate(samples []float64, n int) []float64 {
+	if n == 1 && len(samples) > 0 {
+		return samples
+	}
 	var out []float64
 	for i := 0; i < len(samples); i += n {
 		out = append(out, samples[i])

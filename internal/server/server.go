@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"time"
 
 	"vase/internal/pipeline"
@@ -204,13 +205,32 @@ func (s *Server) fail(w http.ResponseWriter, endpoint string, herr *httpError) {
 }
 
 // reply writes a JSON response and records the (endpoint, status) counter.
+// The body is marshalled before the status line goes out, so a value JSON
+// cannot encode answers 500 with an error body instead of a 200 with none,
+// and the whole body is written once under its Content-Length.
+//
+// A simulate trace is written compact: it is the only body that grows
+// with the request's window (samples × signals), and indenting puts every
+// sample on its own line. Every other body keeps the indented form clients
+// and scripts already read.
 func (s *Server) reply(w http.ResponseWriter, endpoint string, status int, body any) {
+	var data []byte
+	var err error
+	if _, trace := body.(simulateResponse); trace {
+		data, err = json.Marshal(body)
+	} else {
+		data, err = json.MarshalIndent(body, "", "  ")
+	}
+	if err != nil {
+		s.fail(w, endpoint, errorf(http.StatusInternalServerError, "encode reply: %v", err))
+		return
+	}
+	data = append(data, '\n')
 	s.met.request(endpoint, status)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	_, _ = w.Write(data) // a write error means the client hung up; nothing is left to tell it
 }
 
 // readJSON decodes a request body strictly: unknown fields are a client

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -614,40 +615,121 @@ func TestSimulateUnsteppableWindow(t *testing.T) {
 	}
 }
 
-// TestSimulateSolverValidation pins the shared solveropt error contract at
-// the HTTP boundary: an unknown tier is a 400 listing the valid names, and
-// solver fields on a behavioral request are rejected rather than ignored.
+// TestSimulateSolverValidation pins the request checks of /v1/simulate's
+// solver and budget fields: an unknown tier is a 400 listing the valid
+// names, solver fields on a behavioral request are rejected rather than
+// ignored, and a step budget is either applied or refused — negative at
+// either level, or set at the circuit level, where timeout_ms bounds the
+// run, is a 400.
 func TestSimulateSolverValidation(t *testing.T) {
 	s := newTestServer(t, Config{})
-	rec, out := post(t, s, "/v1/simulate", map[string]any{
-		"source": mixerSrc,
-		"inputs": map[string]string{"a": "dc:0", "b": "dc:0"},
-		"level":  "circuit",
-		"solver": "sparse",
-	})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("unknown solver: status %d, want 400", rec.Code)
-	}
-	msg, _ := out["error"].(string)
-	for _, want := range []string{"sparse", "reference", "exact", "fast"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("error %q does not mention %q", msg, want)
+	for _, c := range []struct {
+		name   string
+		fields map[string]any
+		status int
+		want   []string // substrings of the error message
+	}{
+		{"unknown solver", map[string]any{"level": "circuit", "solver": "sparse"}, http.StatusBadRequest,
+			[]string{"sparse", "reference", "exact", "fast"}},
+		{"solver on behavioral", map[string]any{"solver": "fast"}, http.StatusBadRequest, []string{"require level \"circuit\""}},
+		{"unknown level", map[string]any{"level": "orbital"}, http.StatusBadRequest, []string{"orbital"}},
+		{"negative max_steps", map[string]any{"max_steps": -3}, http.StatusBadRequest,
+			[]string{"max_steps must be >= 0 (0 = unlimited), got -3"}},
+		{"negative max_steps on circuit", map[string]any{"max_steps": -3, "level": "circuit"}, http.StatusBadRequest,
+			[]string{"max_steps must be >= 0 (0 = unlimited), got -3"}},
+		{"max_steps on circuit", map[string]any{"max_steps": 3, "level": "circuit"}, http.StatusBadRequest,
+			[]string{"max_steps", "timeout_ms"}},
+		{"max_steps on behavioral", map[string]any{"max_steps": 3}, http.StatusPartialContent, nil},
+	} {
+		req := map[string]any{
+			"source": mixerSrc,
+			"inputs": map[string]string{"a": "dc:0", "b": "dc:0"},
+			"tstop":  1e-4,
+			"tstep":  1e-6,
+		}
+		for k, v := range c.fields {
+			req[k] = v
+		}
+		rec, out := post(t, s, "/v1/simulate", req)
+		if rec.Code != c.status {
+			t.Errorf("%s: status %d, want %d (body %.200s)", c.name, rec.Code, c.status, rec.Body)
+			continue
+		}
+		msg, _ := out["error"].(string)
+		for _, want := range c.want {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: error %q does not mention %q", c.name, msg, want)
+			}
+		}
+		if c.status == http.StatusPartialContent {
+			if times, _ := out["time"].([]any); len(times) != 3 || out["truncated"] != true {
+				t.Errorf("%s: %d samples, truncated %v; want 3 and true", c.name, len(times), out["truncated"])
+			}
 		}
 	}
-	rec, _ = post(t, s, "/v1/simulate", map[string]any{
-		"source": mixerSrc,
-		"inputs": map[string]string{"a": "dc:0", "b": "dc:0"},
-		"solver": "fast",
-	})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("solver on behavioral level: status %d, want 400", rec.Code)
+}
+
+// TestSimulateNonFiniteSample pins the non-finite contract: a trace
+// holding +Inf answers 422 naming the signal, value and time, never a 200
+// with an empty body, and the stream sends the same text as its error
+// event and no done.
+func TestSimulateNonFiniteSample(t *testing.T) {
+	const src = `
+entity big is
+  port (
+    quantity a : in real is voltage;
+    quantity b : in real is voltage;
+    quantity y : out real is voltage
+  );
+end entity;
+architecture beh of big is
+begin
+  y == 1.0e300 * a * b;
+end architecture;
+`
+	const want = `simulate: signal "y" is +Inf at t=0: JSON cannot carry non-finite samples`
+	s := newTestServer(t, Config{})
+	req := map[string]any{
+		"name":   "big.vhd",
+		"source": src,
+		"inputs": map[string]string{"a": "dc:1e300", "b": "dc:1e300"},
+		"tstop":  1e-5,
+		"tstep":  1e-6,
 	}
-	rec, _ = post(t, s, "/v1/simulate", map[string]any{
-		"source": mixerSrc,
-		"inputs": map[string]string{"a": "dc:0", "b": "dc:0"},
-		"level":  "orbital",
-	})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown level: status %d, want 400", rec.Code)
+	rec, out := post(t, s, "/v1/simulate", req)
+	if rec.Code != http.StatusUnprocessableEntity || out["error"] != want {
+		t.Errorf("reply: status %d, body %q; want 422 with error %q", rec.Code, rec.Body, want)
 	}
+
+	req["stream"] = true
+	rec, _ = post(t, s, "/v1/simulate", req)
+	stream := rec.Body.String()
+	errEvent := "event: error\ndata: " + mustMarshal(t, map[string]any{"error": want}) + "\n\n"
+	if !strings.HasSuffix(stream, errEvent) || strings.Contains(stream, "event: done") || strings.Contains(stream, "event: sample") {
+		t.Errorf("stream:\n%s\nwant no sample, no done, and the error event %q last", stream, errEvent)
+	}
+}
+
+// TestReplyEncodeError checks a body JSON cannot encode answers 500 with
+// an indented error body, never the status it was meant for with no body.
+func TestReplyEncodeError(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rec := httptest.NewRecorder()
+	s.reply(rec, "parse", http.StatusOK, map[string]any{"v": math.Inf(1)})
+	const want = "{\n  \"error\": \"encode reply: json: unsupported value: +Inf\"\n}\n"
+	if rec.Code != http.StatusInternalServerError || rec.Body.String() != want {
+		t.Errorf("status %d, body %q; want 500 with %q", rec.Code, rec.Body, want)
+	}
+	if got := rec.Header().Get("Content-Length"); got != fmt.Sprint(len(want)) {
+		t.Errorf("Content-Length %q, want %d", got, len(want))
+	}
+}
+
+func mustMarshal(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

@@ -13,8 +13,9 @@ import (
 // streamSimulation runs the transient with Server-Sent Events: a `header`
 // event naming the streamed columns, one `sample` event per recorded step
 // (decimated by every), and a terminal `done` event (or `error` if the run
-// fails after the stream has started — the status line is already on the
-// wire by then, so the error must travel in-band).
+// fails, or a sample is not finite, after the stream has started — the
+// status line is already on the wire by then, so the error must travel
+// in-band).
 //
 // The sample events ride the simulator's OnSample hook, so a client sees
 // waveforms while the integration is still running — including every sample
@@ -46,6 +47,11 @@ func (s *Server) streamSimulation(ctx context.Context, w http.ResponseWriter, m 
 	}
 	event("header", map[string]any{"signals": columns})
 
+	// A sample JSON cannot carry ends the run: the hook records it and
+	// cancels, and the stream reports it as the error event, never done.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var bad error
 	samples := 0
 	opts.OnSample = func(t float64, probe func(name string) (float64, bool)) {
 		samples++
@@ -55,6 +61,10 @@ func (s *Server) streamSimulation(ctx context.Context, w http.ResponseWriter, m 
 		values := make([]any, len(columns))
 		for i, name := range columns {
 			if v, ok := probe(name); ok {
+				if bad = finiteSample(name, v, t); bad != nil {
+					cancel()
+					return
+				}
 				values[i] = v
 			}
 		}
@@ -62,6 +72,9 @@ func (s *Server) streamSimulation(ctx context.Context, w http.ResponseWriter, m 
 	}
 
 	tr, err := sim.SimulateModuleContext(ctx, m, inputs, opts)
+	if bad != nil {
+		err = bad
+	}
 	if err != nil {
 		event("error", map[string]any{"error": err.Error()})
 		return nil
