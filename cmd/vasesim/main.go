@@ -70,6 +70,9 @@ func main() {
 	abstol := flag.Float64("abstol", 0, "fast-tier absolute error budget in volts (0 = default)")
 	checkAsserts := flag.Bool("assert", false, "evaluate the source's '-- assert:' pragmas against the trace; FAIL exits nonzero (truncated traces resolve to UNKNOWN)")
 	flag.Parse()
+	if *every < 1 {
+		usage(fmt.Errorf("-every must be >= 1, got %d", *every))
+	}
 	if *maxSteps < 0 {
 		usage(fmt.Errorf("-max-steps must be >= 0 (0 = unlimited), got %d", *maxSteps))
 	}

@@ -120,7 +120,9 @@ func bitsEqual(a, b float64) bool {
 // compareRuns demands byte-identical traces: the exact tier's CSR
 // factorization performs the reference eliminator's exact floating-point
 // operation sequence (structural-zero skips are IEEE no-ops), so any
-// difference at all — even one ULP — is a solver bug, not roundoff.
+// difference at all — even one ULP — is a solver bug, not roundoff. Both
+// runs go through the one Newton loop, so they must also count the same
+// Newton iterations, factorizations and peak dimension.
 func compareRuns(t *testing.T, label string, ref, got *solverRun) {
 	t.Helper()
 	if ref.dcErr != got.dcErr {
@@ -158,6 +160,11 @@ func compareRuns(t *testing.T, label string, ref, got *solverRun) {
 	}
 	if ref.acErr != got.acErr {
 		t.Fatalf("%s: AC error %q, reference %q", label, got.acErr, ref.acErr)
+	}
+	rs, gs := ref.stats, got.stats
+	if rs.NewtonIterations != gs.NewtonIterations || rs.Factorizations != gs.Factorizations || rs.PeakDim != gs.PeakDim {
+		t.Fatalf("%s: %d Newton iterations, %d factorizations, peak dim %d; reference %d, %d, %d", label,
+			gs.NewtonIterations, gs.Factorizations, gs.PeakDim, rs.NewtonIterations, rs.Factorizations, rs.PeakDim)
 	}
 	if (ref.ac == nil) != (got.ac == nil) {
 		t.Fatalf("%s: AC presence mismatch", label)

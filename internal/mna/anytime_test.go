@@ -105,21 +105,34 @@ func TestDCCancellationReturnsError(t *testing.T) {
 	}
 }
 
-func TestMaxNewtonIterBudget(t *testing.T) {
-	// A diode clamp needs several Newton iterations; a budget of 1 must
-	// surface as a convergence error, not a hang or a silent wrong answer.
-	c := New()
-	in := c.NodeByName("in")
-	out := c.NodeByName("out")
-	c.AddV("vs", in, Ground, func(float64) float64 { return 5 })
-	c.AddR("r", in, out, 1e3)
-	c.AddDiode("d", out, Ground)
-	c.MaxNewtonIter = 1
-	if _, err := c.DC(); err == nil {
-		t.Fatal("expected convergence error under a 1-iteration budget")
-	}
-	c.MaxNewtonIter = 0 // default budget converges
-	if _, err := c.DC(); err != nil {
-		t.Fatalf("default budget failed: %v", err)
+// TestNewtonBudgetExhausted pins the iteration budget: 1 mA forced
+// backwards through a diode has no operating point, so every tier must end
+// its DC in the convergence error after exactly newtonBudget iterations per
+// Newton run, not hang or return a wrong answer. The fast tier spends its
+// own budget, then falls back to the exact tier for the point.
+func TestNewtonBudgetExhausted(t *testing.T) {
+	for _, tc := range []struct {
+		mode           SolverMode
+		runs, fallback int64
+	}{
+		{SolverReference, 1, 0},
+		{SolverAuto, 1, 0},
+		{SolverFast, 2, 1},
+	} {
+		c := New()
+		n := c.NodeByName("n")
+		c.AddI("i", n, Ground, func(float64) float64 { return 1e-3 })
+		c.AddDiode("d", n, Ground)
+		c.Solver = tc.mode
+		_, err := c.DC()
+		const want = "mna: Newton iteration did not converge at t=0"
+		if err == nil || err.Error() != want {
+			t.Errorf("%v: DC error %v, want %q", tc.mode, err, want)
+		}
+		st := c.SolverStats()
+		if st.NewtonIterations != tc.runs*newtonBudget || st.Fallbacks != tc.fallback {
+			t.Errorf("%v: %d iterations, %d fallbacks; want %d, %d",
+				tc.mode, st.NewtonIterations, st.Fallbacks, tc.runs*newtonBudget, tc.fallback)
+		}
 	}
 }

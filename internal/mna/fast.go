@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // This file is the numeric half of the SolverFast tier (the symbolic half
@@ -43,6 +42,8 @@ const (
 	// requiring ρ ≤ 0.25 certifies the solution to tol/3. Without this check
 	// an ill-conditioned point (an op-amp at its saturation knee) can pass
 	// the update test while the residual — and the answer — is still off.
+	// A steady step therefore takes two cheap chord iterations instead of
+	// one, never an extra factor.
 	fastChordAccept = 0.25
 )
 
@@ -196,123 +197,104 @@ func (s *solver) fastSolveDelta() {
 	}
 }
 
-// newtonFastTier is the SolverFast Newton loop: assemble, factor only when
-// the snapshot says the Jacobian moved (or convergence stalled), solve the
-// residual system, apply the damped update. Steady-state iterations with a
-// warm factorization allocate nothing; the factorization persists across
-// solve points, so a transient's cost per step collapses to stamping plus
-// two triangular solves once the waveforms move slowly.
-func (c *Circuit) newtonFastTier(ctx context.Context, s *solver, dst, x0, prev Solution, t, h float64) (Solution, error) {
-	if s.fastOff {
-		return c.newtonFast(ctx, s, dst, x0, prev, t, h)
-	}
-	copy(dst, x0)
-	if fs := s.fast; fs != nil && fs.havePrev && h > 0 {
-		// Predictive start: linearly extrapolate the two previous accepted
-		// transient solutions. On smooth stretches this lands an O(h²) guess
-		// where the plain previous-point start is O(h), trading one chord
-		// iteration per step for nothing; across an event the guess is bad
-		// but the damped iteration (and, at worst, the exact-tier fallback)
-		// still converges to the same fixed point, so the budget contract is
-		// unaffected.
-		for i := range dst {
-			dst[i] = 2*x0[i] - fs.xprev[i]
-		}
-	}
-	for _, d := range c.devices {
-		d.hasLast = false
-	}
-	maxIter := c.MaxNewtonIter
-	if maxIter <= 0 {
-		maxIter = defaultNewtonIter
-	}
-	tol := c.Budget.newtonTol()
-	prevWorst := math.Inf(1)
-	for iter := 0; iter < maxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mna: solve at t=%g cancelled: %w", t, err)
-		}
-		s.clear()
-		c.stampInto(s, dst, prev, t, h)
-		fs := s.fast
-		if fs == nil {
-			var err error
-			fs, err = c.buildFastState(s)
-			if err != nil {
-				return c.fastDisable(ctx, s, dst, x0, prev, t, h)
-			}
-			s.fast = fs
-		}
-		reused := false
-		if fs.haveLU && !fs.forceRefactor && !fs.stale(s) {
-			c.stats.FactorReuses++
-			reused = true
-		} else {
-			if err := c.fastFactorRetry(s); err != nil {
-				return c.fastDisable(ctx, s, dst, x0, prev, t, h)
-			}
-			fs = s.fast // a monitor-forced reorder replaces the state
-			fs.forceRefactor = false
-		}
-		c.stats.NewtonIterations++
-		s.fastResidual(dst)
-		s.fastSolveDelta()
-		worst := 0.0
-		for k := 0; k < fs.n; k++ {
-			if d := math.Abs(fs.y[k]); d > worst {
-				worst = d
+// fastTier is the SolverFast view of the plan workspace.
+type fastTier solver
+
+// solveFast runs one solve point on the fast tier: assemble, factor only
+// when the snapshot says the Jacobian moved (or convergence stalled), solve
+// the residual system, and let the shared Newton loop apply the damped
+// update. Steady-state iterations with a warm factorization allocate
+// nothing; the factorization persists across solve points, so a transient's
+// cost per step collapses to stamping plus two triangular solves once the
+// waveforms move slowly.
+func (c *Circuit) solveFast(ctx context.Context, s *solver, dst, x0, prev Solution, t, h float64) (Solution, error) {
+	if !s.fastOff {
+		copy(dst, x0)
+		if fs := s.fast; fs != nil && fs.havePrev && h > 0 {
+			// Predictive start: linearly extrapolate the two previous
+			// accepted transient solutions. On smooth stretches this lands
+			// an O(h²) guess where the plain previous-point start is O(h),
+			// trading one chord iteration per step for nothing; across an
+			// event the guess is bad but the damped iteration (and, at
+			// worst, the exact-tier fallback) still converges to the same
+			// fixed point, so the budget contract is unaffected.
+			for i := range dst {
+				dst[i] = 2*x0[i] - fs.xprev[i]
 			}
 		}
-		alpha := 1.0
-		if worst > newtonMaxChange {
-			alpha = newtonMaxChange / worst
-		}
-		for k := 0; k < fs.n; k++ {
-			dst[fs.cperm[k]+1] += alpha * fs.y[k]
-		}
-		if worst < tol && (!reused || worst <= fastChordAccept*prevWorst) {
-			// A fresh LU makes this the exact tier's own criterion; a
-			// reused one needs the contraction evidence (see
-			// fastChordAccept). A steady step therefore takes two cheap
-			// chord iterations instead of one, never an extra factor.
-			if h > 0 {
+		x, err := c.newton(ctx, (*fastTier)(s), dst, prev, t, h, c.Budget.newtonTol())
+		if err == nil {
+			if fs := s.fast; h > 0 {
 				copy(fs.xprev, x0)
 				fs.havePrev = true
 			} else {
 				fs.havePrev = false
 			}
-			return dst, nil
+			return x, nil
 		}
-		if reused && worst > fastStallRatio*prevWorst {
-			fs.forceRefactor = true
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, err
 		}
-		prevWorst = worst
+		// The fast iteration exhausted its budget, or its machinery failed
+		// and the step turned the tier off: re-solve this point on the
+		// exact tier from the caller's start. High-gain circuits can be
+		// Newton-multistable — a budget-sized difference in the starting
+		// point sends the damped iteration on a much longer path — and the
+		// exact iteration, solving the full linearized system every
+		// iteration, is the robust strategy of record. The fallback keeps
+		// the fast tier total (it fails only where the exact tier fails) at
+		// the cost of one slow point; the result is still deterministic.
+		c.stats.Fallbacks++
+		if fs := s.fast; fs != nil {
+			// A point hard enough to exhaust the chord budget is usually
+			// an event; don't extrapolate the next step through it.
+			fs.havePrev = false
+		}
 	}
-	// The fast iteration exhausted its budget: fall back to the exact
-	// tier's Newton loop for this solve point. High-gain circuits can be
-	// Newton-multistable — a budget-sized difference in the starting point
-	// sends the damped iteration on a much longer path — and the exact
-	// loop, solving the full linearized system every iteration, is the
-	// robust strategy of record. The fallback keeps the fast tier total
-	// (it fails only where the exact tier fails) at the cost of one slow
-	// point; the result is still deterministic.
-	c.stats.Fallbacks++
-	if fs := s.fast; fs != nil {
-		// A point hard enough to exhaust the chord budget is usually an
-		// event; don't extrapolate the next step through it.
-		fs.havePrev = false
-	}
-	return c.newtonFast(ctx, s, dst, x0, prev, t, h)
+	copy(dst, x0)
+	return c.newton(ctx, (*exactTier)(s), dst, prev, t, h, newtonTol)
 }
 
-// fastDisable routes this and every later solve point through the exact
-// Newton path after the fast tier's symbolic or numeric machinery failed.
-// A singular scratch at one garbage mid-Newton iterate says nothing about
-// the circuit — the exact tier's runtime pivoting is the diagnosis of
-// record, and a genuinely singular circuit fails there with the same error
-// text the fast factorization would have produced.
-func (c *Circuit) fastDisable(ctx context.Context, s *solver, dst, x0, prev Solution, t, h float64) (Solution, error) {
-	s.fastOff = true
-	c.stats.Fallbacks++
-	return c.newtonFast(ctx, s, dst, x0, prev, t, h)
+// step assembles, reuses or refreshes the factorization, and solves the
+// residual system for the update. A failure of the ordering or the
+// scheduled factorization turns the tier off for the rest of the run: a
+// matrix singular at one garbage mid-Newton iterate says nothing about the
+// circuit — the exact tier's runtime pivoting is the diagnosis of record,
+// and a genuinely singular circuit fails there with the same error text the
+// fast factorization would have produced.
+func (f *fastTier) step(c *Circuit, x, prev Solution, t, h float64) (Solution, bool, error) {
+	s := (*solver)(f)
+	s.clear()
+	c.stampInto(s, x, prev, t, h)
+	fs := s.fast
+	if fs == nil {
+		var err error
+		if fs, err = c.buildFastState(s); err != nil {
+			s.fastOff = true
+			return nil, false, err
+		}
+		s.fast = fs
+	}
+	reused := false
+	if fs.haveLU && !fs.forceRefactor && !fs.stale(s) {
+		c.stats.FactorReuses++
+		reused = true
+	} else {
+		if err := c.fastFactorRetry(s); err != nil {
+			s.fastOff = true
+			return nil, false, err
+		}
+		fs = s.fast // a monitor-forced reorder replaces the state
+		fs.forceRefactor = false
+	}
+	s.fastResidual(x)
+	s.fastSolveDelta()
+	dx := s.next
+	for k, col := range fs.cperm {
+		dx[col+1] = fs.y[k]
+	}
+	return dx, reused, nil
 }
+
+// stalled forces the next step, at this point or a later one, to refactor.
+func (f *fastTier) stalled() { f.fast.forceRefactor = true }

@@ -135,19 +135,19 @@ func TestFastTierReusesFactorizations(t *testing.T) {
 func TestFastTierZeroAllocsWarm(t *testing.T) {
 	c := activeChain(7)
 	c.Solver = SolverFast
-	s, err := c.ensureSolver()
+	solve, dim, err := c.pointSolver(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	dst := make(Solution, s.dim+1)
+	dst := make(Solution, dim+1)
+	zero := make(Solution, dim+1)
 	for i := 0; i < 3; i++ {
-		if _, err := c.newtonFastTier(ctx, s, dst, s.zero, s.zero, 0, 1e-6); err != nil {
+		if _, err := solve(dst, zero, zero, 0, 1e-6); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := c.newtonFastTier(ctx, s, dst, s.zero, s.zero, 0, 1e-6); err != nil {
+		if _, err := solve(dst, zero, zero, 0, 1e-6); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -232,21 +232,21 @@ func TestErrorBudgetCanonical(t *testing.T) {
 func BenchmarkMNASolveFast(b *testing.B) {
 	c := activeChain(7)
 	c.Solver = SolverFast
-	s, err := c.ensureSolver()
+	solve, dim, err := c.pointSolver(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context.Background()
-	dst := make(Solution, s.dim+1)
+	dst := make(Solution, dim+1)
+	zero := make(Solution, dim+1)
 	for i := 0; i < 3; i++ {
-		if _, err := c.newtonFastTier(ctx, s, dst, s.zero, s.zero, 0, 1e-6); err != nil {
+		if _, err := solve(dst, zero, zero, 0, 1e-6); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.newtonFastTier(ctx, s, dst, s.zero, s.zero, 0, 1e-6); err != nil {
+		if _, err := solve(dst, zero, zero, 0, 1e-6); err != nil {
 			b.Fatal(err)
 		}
 	}

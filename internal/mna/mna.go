@@ -10,14 +10,18 @@
 // amplification, comparator-controlled gain switching, and diode clipping
 // of the output stage.
 //
+// Every solver tier runs DC and transient points through one damped Newton
+// loop (newton.go) and supplies only the step that solves the system
+// linearized around the iterate.
+//
 // The linear-algebra core is built around structure reuse: a stamp plan
 // records once per circuit which matrix slots every device touches, and
-// every Newton iteration restamps and refactors in place inside
+// every exact-tier Newton step restamps and refactors in place inside
 // preallocated CSR storage. The CSR pattern grows with the fill of the
-// pivot sequences the exact tier meets: an iteration whose elimination
-// leaves the pattern is solved densely by the reference eliminator, and the
-// pattern absorbs that elimination's whole fill in one relayout (plan.go).
-// Every other iteration allocates nothing. The exact tier's solutions are
+// pivot sequences the exact tier meets: a step whose elimination leaves the
+// pattern is solved densely by the reference eliminator, and the pattern
+// absorbs that elimination's whole fill in one relayout (plan.go). Every
+// other step allocates nothing. The exact tier's solutions are
 // bit-identical to the reference eliminator's (see factor.go for the
 // argument).
 package mna
@@ -150,8 +154,10 @@ type SolverStats struct {
 	// per layout of the stamp plan a fast solve reaches (a relayout drops
 	// the ordering), plus one per pivot-monitor-forced reorder.
 	Orderings int64
-	// Fallbacks counts SolverFast solve points that exhausted the fast
-	// Newton budget and were re-solved by the exact tier's loop.
+	// Fallbacks counts SolverFast solve points re-solved by the exact tier:
+	// each point whose fast iteration exhausted the Newton budget, and the
+	// point whose ordering or factorization failed and turned the fast tier
+	// off for the circuit.
 	Fallbacks int64
 	// PeakDim is the largest reduced-system dimension solved.
 	PeakDim int
@@ -186,9 +192,6 @@ type Circuit struct {
 	// method is the transient integration scheme.
 	method Method
 
-	// MaxNewtonIter bounds the Newton iteration count per solve point
-	// (0 = the default of 300). Exceeding it is a convergence error.
-	MaxNewtonIter int
 	// MaxTranSteps bounds the number of transient steps (0 = unlimited).
 	// When it binds the transient returns the truncated trace computed so
 	// far with Tran.Truncated set, not an error.
@@ -430,89 +433,6 @@ func (d *device) funcLinearize(x Solution, scratch, dps []float64) float64 {
 	return rhs
 }
 
-// ---------------------------------------------------------------------------
-// Newton iteration.
-
-const (
-	defaultNewtonIter = 300
-	newtonMaxChange   = 0.5 // volts per Newton step
-	newtonTol         = 1e-8
-)
-
-// newtonFast iterates the nonlinear system to convergence with a damped
-// update: the per-iteration voltage change is limited so that the
-// saturating op-amp and diode characteristics cannot make the iteration
-// oscillate across their knees. Cancellation is observed between
-// iterations, so no solve can hold its goroutine past the caller's deadline
-// by more than one iteration.
-//
-// dst is the caller's iterate buffer (len s.dim+1); the converged solution
-// is returned aliasing dst. Each iteration is one factorization. Unless its
-// elimination leaves the sparse pattern, the loop allocates nothing:
-// stamping writes through the plan's precomputed slots and the
-// factorization runs in place inside the solver workspace (pinned by
-// TestNewtonZeroAllocs). An iteration that leaves the pattern is solved by
-// denseSolve and relayouts the plan once.
-func (c *Circuit) newtonFast(ctx context.Context, s *solver, dst, x0, prev Solution, t, h float64) (Solution, error) {
-	copy(dst, x0)
-	for _, d := range c.devices {
-		d.hasLast = false
-	}
-	maxIter := c.MaxNewtonIter
-	if maxIter <= 0 {
-		maxIter = defaultNewtonIter
-	}
-	next := s.next
-	for iter := 0; iter < maxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mna: solve at t=%g cancelled: %w", t, err)
-		}
-		// Snapshot the op-amp Newton-limiting state: the restamp of a
-		// pattern miss must replay the identical linearization, and
-		// opampLinearize advances lastVc on every call.
-		for i, d := range s.ops {
-			s.opVc[i], s.opHas[i] = d.lastVc, d.hasLast
-		}
-		s.clear()
-		c.stampInto(s, dst, prev, t, h)
-		c.stats.Factorizations++
-		err := s.factorSolve(next)
-		if err == errPatternMiss {
-			// The elimination needs fill the pattern lacks: restamp,
-			// solve this iteration densely, and relayout once for the
-			// whole fill of the pivot sequence it took.
-			for i, d := range s.ops {
-				d.lastVc, d.hasLast = s.opVc[i], s.opHas[i]
-			}
-			s.clear()
-			c.stampInto(s, dst, prev, t, h)
-			err = s.denseSolve(next)
-			c.layout(s)
-		}
-		if err != nil {
-			return nil, err
-		}
-		c.stats.NewtonIterations++
-		worst := 0.0
-		for i := 1; i < len(next); i++ {
-			if d := math.Abs(next[i] - dst[i]); d > worst {
-				worst = d
-			}
-		}
-		alpha := 1.0
-		if worst > newtonMaxChange {
-			alpha = newtonMaxChange / worst
-		}
-		for i := 1; i < len(next); i++ {
-			dst[i] += alpha * (next[i] - dst[i])
-		}
-		if worst < newtonTol {
-			return dst, nil
-		}
-	}
-	return dst, fmt.Errorf("mna: Newton iteration did not converge at t=%g", t)
-}
-
 // DC computes the operating point at t=0.
 func (c *Circuit) DC() (Solution, error) {
 	return c.DCContext(context.Background())
@@ -522,21 +442,12 @@ func (c *Circuit) DC() (Solution, error) {
 // iteration polls ctx between iterations and returns the context error on
 // cancellation (a half-converged operating point is not useful).
 func (c *Circuit) DCContext(ctx context.Context) (Solution, error) {
-	if c.Solver == SolverReference {
-		nb := c.assignBranches()
-		m := newMatrix(c.nodes + nb)
-		zero := make(Solution, c.nodes+nb+1)
-		return c.newtonRef(ctx, m, zero, zero, 0, -1)
-	}
-	s, err := c.ensureSolver()
+	solve, dim, err := c.pointSolver(ctx)
 	if err != nil {
 		return nil, err
 	}
-	dst := make(Solution, s.dim+1)
-	if c.Solver == SolverFast {
-		return c.newtonFastTier(ctx, s, dst, s.zero, s.zero, 0, -1)
-	}
-	return c.newtonFast(ctx, s, dst, s.zero, s.zero, 0, -1)
+	zero := make(Solution, dim+1)
+	return solve(make(Solution, dim+1), zero, zero, 0, -1)
 }
 
 // maxTranPrealloc caps the per-node transient sample preallocation, well
@@ -584,32 +495,9 @@ func (c *Circuit) TransientContext(ctx context.Context, tstop, h float64) (*Tran
 		return nil, fmt.Errorf("mna: tstop/h = %g steps is not a representable step count", n)
 	}
 
-	// newton dispatches to the selected solver implementation; dst is the
-	// reusable iterate buffer of the plan-based path (the reference path
-	// allocates per solve, matching the seed behavior).
-	var refM *matrix
-	var s *solver
-	var dim int
-	if c.Solver == SolverReference {
-		nb := c.assignBranches()
-		dim = c.nodes + nb
-		refM = newMatrix(dim)
-	} else {
-		var err error
-		s, err = c.ensureSolver()
-		if err != nil {
-			return nil, err
-		}
-		dim = s.dim
-	}
-	newton := func(dst, x0, prev Solution, t float64) (Solution, error) {
-		if refM != nil {
-			return c.newtonRef(ctx, refM, x0, prev, t, h)
-		}
-		if c.Solver == SolverFast {
-			return c.newtonFastTier(ctx, s, dst, x0, prev, t, h)
-		}
-		return c.newtonFast(ctx, s, dst, x0, prev, t, h)
+	solve, dim, err := c.pointSolver(ctx)
+	if err != nil {
+		return nil, err
 	}
 
 	// Initial condition: capacitor ICs enforced via a pseudo-DC with the
@@ -622,7 +510,7 @@ func (c *Circuit) TransientContext(ctx context.Context, tstop, h float64) (*Tran
 			prev[d.a] = d.ic
 		}
 	}
-	x0, err := newton(xNext, x, prev, 0)
+	x0, err := solve(xNext, x, prev, 0, h)
 	if err != nil {
 		return nil, err
 	}
@@ -669,7 +557,7 @@ func (c *Circuit) TransientContext(ctx context.Context, tstop, h float64) (*Tran
 	}
 	for step := 1; step <= steps; step++ {
 		t := float64(step) * h
-		next, err := newton(xNext, x, x, t)
+		next, err := solve(xNext, x, x, t, h)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Cancelled mid-solve: the samples up to the previous step

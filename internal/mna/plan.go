@@ -99,8 +99,7 @@ type solver struct {
 	sched  []int32
 	schedN int
 
-	next Solution // Newton update workspace
-	zero Solution // immutable all-zero guess / previous solution
+	next Solution // Newton update workspace of the exact and fast steps
 
 	// slots packs per-device write positions; devOff[i] is device i's
 	// offset. Layout per kind is fixed and mirrored by Circuit.stampInto.
@@ -113,8 +112,9 @@ type solver struct {
 
 	// ops lists the op-amp devices, whose Newton-limiting memory
 	// (lastVc/hasLast) advances on every stamp. The restamp of a pattern
-	// miss must replay the same linearization, so newtonFast snapshots the
-	// state here before stamping and restores it before the restamp.
+	// miss must replay the same linearization, so the exact tier's Newton
+	// step snapshots the state here before stamping and restores it before
+	// the restamp.
 	ops   []*device
 	opVc  []float64
 	opHas []bool
@@ -129,8 +129,8 @@ type solver struct {
 	// lazily from assembled values and invalidated by layout(): adaptive
 	// pattern growth renumbers the plan slots the fast scatter map indexes.
 	fast *fastState
-	// fastOff permanently routes SolverFast solves through the exact Newton
-	// path for this circuit: set when the fast tier's ordering or scheduled
+	// fastOff permanently routes SolverFast solves through the exact tier
+	// for this circuit: set when the fast tier's ordering or scheduled
 	// factorization fails (e.g. a numerically singular scratch at some
 	// mid-Newton iterate the exact tier's runtime pivoting survives).
 	fastOff bool
@@ -248,7 +248,6 @@ func (c *Circuit) ensureSolver() (*solver, error) {
 	s.perm = make([]int, dim)
 	s.scale = make([]float64, dim)
 	s.next = make(Solution, dim+1)
-	s.zero = make(Solution, dim+1)
 	s.pos = make([]int, dim)
 	s.diagQ = make([]int, dim)
 	for _, d := range c.devices {

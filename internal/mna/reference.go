@@ -1,14 +1,14 @@
 package mna
 
 import (
-	"context"
 	"fmt"
 	"math"
 )
 
 // This file preserves the original dense allocate-per-solve eliminator as
 // SolverReference: the oracle against which the plan-based exact tier is
-// proven bit-identical (see the corpus equivalence tests). It is never used
+// proven bit-identical (see the corpus equivalence tests). Its Newton step
+// runs in the Newton loop every tier shares (newton.go). It is never used
 // outside tests unless explicitly selected via Circuit.Solver, with one
 // exception: the exact tier solves an iteration whose elimination leaves
 // its sparse pattern with this file's eliminate.
@@ -214,49 +214,20 @@ func eliminate(a [][]float64, x Solution, rows []int) (int, error) {
 	return n, nil
 }
 
-// newtonRef is the original Newton iteration over the reference matrix; see
-// newtonFast for the iteration contract (the damping, tolerance and
-// cancellation behavior are identical).
-func (c *Circuit) newtonRef(ctx context.Context, m *matrix, x0, prev Solution, t, h float64) (Solution, error) {
-	if m.n > c.stats.PeakDim {
-		c.stats.PeakDim = m.n
+// step is the reference tier's Newton step: a fresh dense matrix stamped
+// around x and solved by matrix.solve, allocating per solve as the seed did.
+func (m *matrix) step(c *Circuit, x, prev Solution, t, h float64) (Solution, bool, error) {
+	c.stampRef(m, x, prev, t, h)
+	c.stats.Factorizations++
+	next, err := m.solve()
+	if err != nil {
+		return nil, false, err
 	}
-	x := make(Solution, len(x0))
-	copy(x, x0)
-	for _, d := range c.devices {
-		d.hasLast = false
+	for i := 1; i < len(next); i++ {
+		next[i] -= x[i]
 	}
-	maxIter := c.MaxNewtonIter
-	if maxIter <= 0 {
-		maxIter = defaultNewtonIter
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mna: solve at t=%g cancelled: %w", t, err)
-		}
-		c.stampRef(m, x, prev, t, h)
-		c.stats.Factorizations++
-		next, err := m.solve()
-		if err != nil {
-			return nil, err
-		}
-		c.stats.NewtonIterations++
-		worst := 0.0
-		for i := 1; i < len(next); i++ {
-			if d := math.Abs(next[i] - x[i]); d > worst {
-				worst = d
-			}
-		}
-		alpha := 1.0
-		if worst > newtonMaxChange {
-			alpha = newtonMaxChange / worst
-		}
-		for i := 1; i < len(next); i++ {
-			x[i] += alpha * (next[i] - x[i])
-		}
-		if worst < newtonTol {
-			return x, nil
-		}
-	}
-	return x, fmt.Errorf("mna: Newton iteration did not converge at t=%g", t)
+	return next, false, nil
 }
+
+// stalled is never called: the reference factors on every step.
+func (m *matrix) stalled() {}

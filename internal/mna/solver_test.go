@@ -43,22 +43,22 @@ func TestNewtonZeroAllocs(t *testing.T) {
 	t.Run("sparse", func(t *testing.T) {
 		c := activeChain(6)
 		c.Solver = SolverAuto
-		s, err := c.ensureSolver()
+		solve, dim, err := c.pointSolver(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := context.Background()
-		dst := make(Solution, s.dim+1)
+		dst := make(Solution, dim+1)
+		zero := make(Solution, dim+1)
 		// Warm until the adaptive pattern and the replay cache have
 		// settled; repeated identical solves pick identical pivots, so the
 		// schedule never grows again.
 		for i := 0; i < 3; i++ {
-			if _, err := c.newtonFast(ctx, s, dst, s.zero, s.zero, 0, 1e-6); err != nil {
+			if _, err := solve(dst, zero, zero, 0, 1e-6); err != nil {
 				t.Fatal(err)
 			}
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := c.newtonFast(ctx, s, dst, s.zero, s.zero, 0, 1e-6); err != nil {
+			if _, err := solve(dst, zero, zero, 0, 1e-6); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -257,35 +257,21 @@ func BenchmarkMNASolve(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			c := activeChain(7)
 			c.Solver = tc.mode
-			if tc.mode == SolverReference {
-				nb := c.assignBranches()
-				m := newMatrix(c.nodes + nb)
-				zero := make(Solution, c.nodes+nb+1)
-				ctx := context.Background()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.newtonRef(ctx, m, zero, zero, 0, 1e-6); err != nil {
-						b.Fatal(err)
-					}
-				}
-				return
-			}
-			s, err := c.ensureSolver()
+			solve, dim, err := c.pointSolver(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
-			ctx := context.Background()
-			dst := make(Solution, s.dim+1)
+			dst := make(Solution, dim+1)
+			zero := make(Solution, dim+1)
 			for i := 0; i < 3; i++ {
-				if _, err := c.newtonFast(ctx, s, dst, s.zero, s.zero, 0, 1e-6); err != nil {
+				if _, err := solve(dst, zero, zero, 0, 1e-6); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.newtonFast(ctx, s, dst, s.zero, s.zero, 0, 1e-6); err != nil {
+				if _, err := solve(dst, zero, zero, 0, 1e-6); err != nil {
 					b.Fatal(err)
 				}
 			}
