@@ -14,6 +14,7 @@ import (
 	"vase/internal/gen"
 	"vase/internal/mapper"
 	"vase/internal/mna"
+	"vase/internal/netlist"
 	"vase/internal/patterns"
 	"vase/internal/sim"
 )
@@ -134,13 +135,11 @@ func BenchmarkFigure8Reference(b *testing.B) { benchFigure8(b, mna.SolverReferen
 // default ErrorBudget of the reference, not byte-identical).
 func BenchmarkFigure8Fast(b *testing.B) { benchFigure8(b, mna.SolverFast) }
 
-// benchMediumDC measures one DC operating point of seed-1 ladder spec 3, a
-// medium design (reduced dimension 311), through one MNA solver tier. The
-// spec is mapped once under the simulate benchmark's policy (first-fit
-// above 12 quantities, a 1<<15 node cap); every iteration elaborates a
-// fresh circuit, so the exact tier's pattern growth and the fast tier's
-// orderings are inside the timed loop.
-func benchMediumDC(b *testing.B, mode mna.SolverMode) {
+// mediumSpec maps seed-1 ladder spec 3, a medium design (reduced dimension
+// 311), under the simulate benchmark's policy (first-fit above 12
+// quantities, a 1<<15 node cap), and returns its netlist and input
+// waveforms.
+func mediumSpec(b *testing.B) (*gen.Spec, *netlist.Netlist, map[string]mna.Waveform) {
 	sp := gen.Generate(1, 3, gen.MixedSize(3))
 	m, err := gen.CompileSpec(sp)
 	if err != nil {
@@ -157,10 +156,19 @@ func benchMediumDC(b *testing.B, mode mna.SolverMode) {
 	for name, w := range sp.Inputs { //vase:unordered (map-to-map conversion)
 		waves[name] = mna.Waveform(w.Source())
 	}
+	return sp, res.Netlist, waves
+}
+
+// benchMediumDC measures one DC operating point of the medium spec through
+// one MNA solver tier. Every iteration elaborates a fresh circuit, so the
+// exact tier's pattern growth and the fast tier's orderings are inside the
+// timed loop.
+func benchMediumDC(b *testing.B, mode mna.SolverMode) {
+	_, nl, waves := mediumSpec(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		el, err := mna.Elaborate(res.Netlist, waves)
+		el, err := mna.Elaborate(nl, waves)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,6 +188,35 @@ func BenchmarkMediumDCExact(b *testing.B) { benchMediumDC(b, mna.SolverAuto) }
 
 // BenchmarkMediumDCFast is the medium DC on the fast tier.
 func BenchmarkMediumDCFast(b *testing.B) { benchMediumDC(b, mna.SolverFast) }
+
+// benchMediumTran measures the medium spec's circuit op as the simulate
+// benchmark runs it, through one MNA solver tier: on a fresh circuit, DC
+// and then the transient window of 100 TStep at TStep/5.
+func benchMediumTran(b *testing.B, mode mna.SolverMode) {
+	sp, nl, waves := mediumSpec(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		el, err := mna.Elaborate(nl, waves)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := el.Circuit
+		c.Solver = mode
+		if _, err := c.DC(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Transient(100*sp.TStep, sp.TStep/5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMediumTranExact is the medium circuit op on the exact tier.
+func BenchmarkMediumTranExact(b *testing.B) { benchMediumTran(b, mna.SolverAuto) }
+
+// BenchmarkMediumTranFast is the medium circuit op on the fast tier.
+func BenchmarkMediumTranFast(b *testing.B) { benchMediumTran(b, mna.SolverFast) }
 
 // BenchmarkFigure8Behavioral measures the same experiment on the RK4
 // behavioral simulator.

@@ -21,9 +21,11 @@
 // pivot sequences the exact tier meets: a step whose elimination leaves the
 // pattern is solved densely by the reference eliminator, and the pattern
 // absorbs that elimination's whole fill in one relayout (plan.go). Every
-// other step allocates nothing. The exact tier's solutions are
-// bit-identical to the reference eliminator's (see factor.go for the
-// argument).
+// other step allocates nothing. A factorization replays a recorded schedule
+// that covers only the fill closure of the stamped pattern under its own
+// pivots, not the whole pattern, which also holds the fill of pivot
+// sequences met earlier. The exact tier's solutions are bit-identical to
+// the reference eliminator's (see factor.go for the argument).
 package mna
 
 import (
@@ -105,7 +107,8 @@ type SolverMode int
 
 const (
 	// SolverAuto is the exact tier (the default): the stamp plan's
-	// in-place CSR LU with elimination replay, bit-identical to
+	// in-place CSR LU, replaying each pivot sequence's elimination over
+	// the fill closure of its own pivots, bit-identical to
 	// SolverReference on every circuit size.
 	SolverAuto SolverMode = iota
 	// SolverReference selects the original allocate-per-solve dense
