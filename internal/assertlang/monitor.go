@@ -71,10 +71,6 @@ func NewMonitor(a *Assertion) *Monitor {
 // Assertion returns the monitored assertion.
 func (m *Monitor) Assertion() *Assertion { return m.a }
 
-// Decided reports that the monitor has already reached a final verdict;
-// further samples cannot change it.
-func (m *Monitor) Decided() bool { return m.decided }
-
 // Step observes one sample at time t. env resolves signal names to values;
 // returning ok=false marks the signal unavailable, which resolves the whole
 // monitor to Unknown (a monitor must never fail on a probe it cannot see).

@@ -36,6 +36,3 @@ func FromSource(text string) ([]*Assertion, error) {
 	}
 	return out, nil
 }
-
-// Pragma renders an assertion source text as a pragma comment line.
-func Pragma(spec string) string { return PragmaPrefix + " " + spec }

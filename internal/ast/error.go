@@ -112,19 +112,6 @@ func HasErrors(n Node) bool {
 	return found
 }
 
-// ErrorSpans collects the skipped spans of every Error node in the tree
-// rooted at n, in walk order.
-func ErrorSpans(n Node) []source.Span {
-	var out []source.Span
-	Walk(n, func(c Node) bool {
-		if e, ok := c.(ErrorNode); ok {
-			out = append(out, e.Skipped())
-		}
-		return true
-	})
-	return out
-}
-
 // CountErrors returns the number of Error nodes in the tree rooted at n.
 func CountErrors(n Node) int {
 	count := 0

@@ -60,8 +60,8 @@ func compareFastRun(t *testing.T, label string, ref, fast *solverRun) {
 }
 
 // TestFastTierWithinBudget pins the SolverFast contract corpus-wide: for
-// every benchmark application and both integration methods, the fast
-// tier's DC operating point and transient trace stay within the default
+// every benchmark application, the fast tier's DC operating point and
+// transient trace stay within the default
 // ErrorBudget of SolverReference. (Seeded generator specs get the same
 // treatment in internal/gen: TestFastTierSeededSpecs and the campaign's
 // "fast" pair.)
@@ -73,15 +73,9 @@ func TestFastTierWithinBudget(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			for _, method := range []mna.Method{mna.BackwardEuler, mna.Trapezoidal} {
-				methodName := "be"
-				if method == mna.Trapezoidal {
-					methodName = "trap"
-				}
-				ref := runSolverMode(t, b, app.Key, mna.SolverReference, method)
-				fast := runSolverMode(t, b, app.Key, mna.SolverFast, method)
-				compareFastRun(t, methodName, ref, fast)
-			}
+			ref := runSolverMode(t, b, app.Key, mna.SolverReference)
+			fast := runSolverMode(t, b, app.Key, mna.SolverFast)
+			compareFastRun(t, "fast", ref, fast)
 		})
 	}
 }
@@ -99,8 +93,8 @@ func TestFastTierDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			first := runSolverMode(t, b, app.Key, mna.SolverFast, mna.BackwardEuler)
-			again := runSolverMode(t, b, app.Key, mna.SolverFast, mna.BackwardEuler)
+			first := runSolverMode(t, b, app.Key, mna.SolverFast)
+			again := runSolverMode(t, b, app.Key, mna.SolverFast)
 			compareRuns(t, "rerun", first, again)
 		})
 	}

@@ -85,7 +85,7 @@ func errString(err error) string {
 	return err.Error()
 }
 
-func runSolverMode(t *testing.T, b *Build, key string, mode mna.SolverMode, method mna.Method) *solverRun {
+func runSolverMode(t *testing.T, b *Build, key string, mode mna.SolverMode) *solverRun {
 	t.Helper()
 	el, err := mna.Elaborate(b.Result.Netlist, mnaInputs(key))
 	if err != nil {
@@ -93,7 +93,6 @@ func runSolverMode(t *testing.T, b *Build, key string, mode mna.SolverMode, meth
 	}
 	c := el.Circuit
 	c.Solver = mode
-	c.SetMethod(method)
 	run := &solverRun{nodes: c.NumNodes()}
 	dc, err := c.DC()
 	run.dc, run.dcErr = dc, errString(err)
@@ -192,7 +191,7 @@ func compareRuns(t *testing.T, label string, ref, got *solverRun) {
 // allocation-free MNA core: for every corpus benchmark, the exact tier
 // (whose AC sweep fans out across GOMAXPROCS workers) produces
 // DC/transient/AC results byte-identical to the original
-// allocate-per-solve reference eliminator, under both integration methods.
+// allocate-per-solve reference eliminator.
 func TestSolverEquivalenceAllApps(t *testing.T) {
 	for _, app := range Applications() {
 		app := app
@@ -201,15 +200,9 @@ func TestSolverEquivalenceAllApps(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			for _, method := range []mna.Method{mna.BackwardEuler, mna.Trapezoidal} {
-				methodName := "be"
-				if method == mna.Trapezoidal {
-					methodName = "trap"
-				}
-				ref := runSolverMode(t, b, app.Key, mna.SolverReference, method)
-				got := runSolverMode(t, b, app.Key, mna.SolverAuto, method)
-				compareRuns(t, methodName+"/exact", ref, got)
-			}
+			ref := runSolverMode(t, b, app.Key, mna.SolverReference)
+			got := runSolverMode(t, b, app.Key, mna.SolverAuto)
+			compareRuns(t, "exact", ref, got)
 		})
 	}
 }

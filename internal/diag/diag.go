@@ -100,12 +100,6 @@ func (d *Diagnostic) WithRelated(pos source.Position, format string, args ...any
 	return d
 }
 
-// WithSeverity overrides the registered severity and returns d.
-func (d *Diagnostic) WithSeverity(s Severity) *Diagnostic {
-	d.Severity = s
-	return d
-}
-
 // HasPos reports whether the diagnostic carries a resolved source position.
 func (d *Diagnostic) HasPos() bool {
 	return d.Pos.Line > 0 || d.Pos.Filename != ""

@@ -3,6 +3,7 @@ package estimate
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"vase/internal/library"
 )
@@ -65,8 +66,17 @@ type cellKey struct {
 // cellMemo caches EstimateCell results. Every mapper search estimates the
 // same (process, spec, instance) triples as the searches before it, and
 // concurrent searches (vased requests, campaign workers) do so at once, so
-// the cache is shared and lock-free on the hit path.
-var cellMemo sync.Map // cellKey -> cellResult
+// the cache is shared and lock-free on the hit path. Its keys carry
+// user-controlled gains and load annotations, so a long-running service
+// would grow it without limit: it holds at most cellMemoCap entries, and
+// past that EstimateCell computes without storing. Synthesizing the five
+// Table 1 applications and seed-1 ladder specs 0–127 stores 4,057.
+var (
+	cellMemo    sync.Map     // cellKey -> cellResult
+	cellMemoLen atomic.Int64 // entries stored in cellMemo
+)
+
+const cellMemoCap = 1 << 16
 
 type cellResult struct {
 	est CellEstimate
@@ -84,7 +94,13 @@ func EstimateCell(p Process, sys SystemSpec, inst CellInstance) (CellEstimate, e
 		return r.est.copied(), r.err
 	}
 	est, err := estimateCellUncached(p, sys, inst)
-	cellMemo.Store(key, cellResult{est: est, err: err})
+	// Reserve the entry before storing it, so that concurrent stores never
+	// take the memo past its cap.
+	if cellMemoLen.Add(1) > cellMemoCap {
+		cellMemoLen.Add(-1)
+	} else if _, loaded := cellMemo.LoadOrStore(key, cellResult{est: est, err: err}); loaded {
+		cellMemoLen.Add(-1)
+	}
 	return est.copied(), err
 }
 

@@ -73,3 +73,38 @@ func TestEstimateCellConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestEstimateCellMemoBounded fills the memo past its cap with distinct
+// gains from several goroutines at once: it must stop growing at
+// cellMemoCap, and every estimate, stored or not, must equal the uncached
+// computation bit for bit.
+func TestEstimateCellMemoBounded(t *testing.T) {
+	sys := DefaultSystemSpec()
+	cell := library.Catalog()[0]
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < cellMemoCap+100; i += workers {
+				inst := CellInstance{Cell: cell, Gain: 1 + float64(i)/1024, Inputs: 1}
+				got, err := EstimateCell(SCN20, sys, inst)
+				want, werr := estimateCellUncached(SCN20, sys, inst)
+				if (err == nil) != (werr == nil) ||
+					math.Float64bits(got.AreaUm2) != math.Float64bits(want.AreaUm2) ||
+					math.Float64bits(got.Power) != math.Float64bits(want.Power) ||
+					!reflect.DeepEqual(got.OpAmps, want.OpAmps) {
+					t.Errorf("gain %g: estimate %+v, %v; uncached %+v, %v", inst.Gain, got, err, want, werr)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	stored := 0
+	cellMemo.Range(func(any, any) bool { stored++; return true })
+	if stored != cellMemoCap || cellMemoLen.Load() != cellMemoCap {
+		t.Errorf("memo holds %d entries, counter %d; want the cap %d", stored, cellMemoLen.Load(), cellMemoCap)
+	}
+}

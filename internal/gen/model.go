@@ -269,15 +269,6 @@ func (m *Model) clone() *Model {
 	return c
 }
 
-func (m *Model) constVal(name string) (float64, bool) {
-	for _, k := range m.Consts {
-		if k.Name == name {
-			return k.Val, true
-		}
-	}
-	return 0, false
-}
-
 // intervals computes the sound value hull of every input, quantity and
 // output by forward propagation over the definition order.
 func (m *Model) intervals() map[string]interval.Interval {

@@ -81,9 +81,10 @@ func LogSweep(f1, f2 float64, n int) []float64 {
 }
 
 // AC performs a small-signal frequency sweep: the circuit is linearized at
-// its DC operating point (saturating op amps, diodes and switches
-// contribute their local conductances and gains), the named source becomes
-// a unit AC stimulus, and the complex MNA system is solved per frequency.
+// its DC operating point (saturating op amps, switches and behavioral
+// sources contribute their local conductances and gains), the named source
+// becomes a unit AC stimulus, and the complex MNA system is solved per
+// frequency.
 func (c *Circuit) AC(acSource string, freqs []float64) (*ACResult, error) {
 	return c.ACContext(context.Background(), acSource, freqs)
 }
@@ -203,6 +204,8 @@ func (c *Circuit) acSweep(ctx context.Context, acSource string, freqs []float64,
 }
 
 // acSolve assembles and solves the complex linearized system at frequency f.
+// Each device's small-signal model is the one its Newton linearization
+// uses, taken at the operating point without Newton limiting.
 func (c *Circuit) acSolve(op Solution, acSource string, f float64) ([]complex128, error) {
 	dim := c.nodes + c.assignBranches()
 	a := make([][]complex128, dim+1)
@@ -210,7 +213,6 @@ func (c *Circuit) acSolve(op Solution, acSource string, f float64) ([]complex128
 		a[i] = make([]complex128, dim+2) // last column is the RHS
 	}
 	omega := 2 * math.Pi * f
-	vx := func(n Node) float64 { return op.V(n) }
 
 	addG := func(p, q Node, g complex128) {
 		a[p][p] += g
@@ -234,58 +236,20 @@ func (c *Circuit) acSolve(op Solution, acSource string, f float64) ([]complex128
 			a[d.a][d.branch] += 1
 			a[d.b][d.branch] -= 1
 			a[d.branch][dim+1] += complex(stim, 0)
-		case dISource:
-			// Independent current sources are DC bias: no AC component.
-		case dVCVS:
-			a[d.branch][d.a] += 1
-			a[d.branch][d.b] -= 1
-			a[d.branch][d.cp] -= complex(d.value, 0)
-			a[d.branch][d.cm] += complex(d.value, 0)
-			a[d.a][d.branch] += 1
-			a[d.b][d.branch] -= 1
-		case dDiode:
-			v := vx(d.a) - vx(d.b)
-			if v > 0.9 {
-				v = 0.9
-			}
-			g := d.isat * math.Exp(v/d.vt) / d.vt
-			if g < 1e-12 {
-				g = 1e-12
-			}
-			addG(d.a, d.b, complex(g, 0))
 		case dSwitch:
-			r := d.roff
-			if vx(d.cp)-vx(d.cm) > d.vth {
-				r = d.ron
-			}
-			addG(d.a, d.b, complex(1/r, 0))
+			addG(d.a, d.b, complex(1/d.switchR(op.V(d.cp)-op.V(d.cm)), 0))
 		case dOpAmp:
-			// Local gain at the operating point.
-			vc := vx(d.cp) - vx(d.cm)
-			arg := d.gain * vc / d.vmax
-			sech := 1 / math.Cosh(arg)
-			dg := complex(d.gain*sech*sech, 0)
+			dg := complex(d.opampSlope(op.V(d.cp)-op.V(d.cm)), 0)
 			a[d.branch][d.a] += 1
 			a[d.branch][d.cp] -= dg
 			a[d.branch][d.cm] += dg
 			a[d.a][d.branch] += 1
 		case dFunc:
-			// Numeric Jacobian at the operating point.
-			vals := make([]float64, len(d.ctrl))
-			for i, n := range d.ctrl {
-				vals[i] = vx(n)
-			}
-			base := d.f(vals)
+			dps := make([]float64, len(d.ctrl))
+			d.funcLinearize(op, make([]float64, len(d.ctrl)), dps)
 			a[d.branch][d.a] += 1
-			const eps = 1e-6
 			for i, n := range d.ctrl {
-				if n == Ground {
-					continue
-				}
-				vals[i] += eps
-				dp := (d.f(vals) - base) / eps
-				vals[i] -= eps
-				a[d.branch][n] -= complex(dp, 0)
+				a[d.branch][n] -= complex(dps[i], 0)
 			}
 			a[d.a][d.branch] += 1
 		}

@@ -95,7 +95,7 @@ func TestMagDB(t *testing.T) {
 	in := c.NodeByName("in")
 	out := c.NodeByName("out")
 	c.AddV("vin", in, Ground, func(float64) float64 { return 0 })
-	c.AddVCVS("e", out, Ground, in, Ground, 10)
+	c.AddFunc("e", out, []Node{in}, func(v []float64) float64 { return 10 * v[0] })
 	c.AddR("rl", out, Ground, 1e3)
 	res, err := c.AC("vin", []float64{1e3})
 	if err != nil {

@@ -26,7 +26,7 @@ import (
 // plan concurrently, so the point is re-solved densely by eliminateAC, the
 // reference tier's own elimination, instead. Misses are common on the fast
 // tier, which reuses an exact plan that carries no fill: `go test
-// ./internal/corpus` misses 9 of 308 exact-tier AC points and 246 of 408
+// ./internal/corpus` misses 9 of 208 exact-tier AC points and 196 of 308
 // fast-tier ones, and the seed-7, N=200 campaign's solver and fast pairs
 // miss 16 of 1,716 and 2,888 of 3,420.
 var errACSparseMiss = errors.New("mna: AC elimination fill outside sparse pattern")
@@ -125,22 +125,6 @@ func (c *Circuit) buildACTemplate(s *solver, op Solution, acSource string) *acTe
 			v[sl[2]] += 1
 			v[sl[3]] -= 1
 			rhs[sl[4]] += complex(stim, 0)
-		case dISource:
-			// Independent current sources are DC bias: no AC component.
-		case dVCVS:
-			v[sl[0]] += 1
-			v[sl[1]] -= 1
-			v[sl[2]] -= complex(d.value, 0)
-			v[sl[3]] += complex(d.value, 0)
-			v[sl[4]] += 1
-			v[sl[5]] -= 1
-		case dDiode:
-			g, _ := d.diodeLinearize(op.V(d.a) - op.V(d.b))
-			gc := complex(g, 0)
-			v[sl[0]] += gc
-			v[sl[1]] += gc
-			v[sl[2]] -= gc
-			v[sl[3]] -= gc
 		case dSwitch:
 			g := complex(1/d.switchR(op.V(d.cp)-op.V(d.cm)), 0)
 			v[sl[0]] += g
@@ -148,12 +132,7 @@ func (c *Circuit) buildACTemplate(s *solver, op Solution, acSource string) *acTe
 			v[sl[2]] -= g
 			v[sl[3]] -= g
 		case dOpAmp:
-			// Local gain at the operating point (no Newton limiting: the
-			// AC linearization is a plain derivative, as in acSolve).
-			vc := op.V(d.cp) - op.V(d.cm)
-			arg := d.gain * vc / d.vmax
-			sech := 1 / math.Cosh(arg)
-			dg := complex(d.gain*sech*sech, 0)
+			dg := complex(d.opampSlope(op.V(d.cp)-op.V(d.cm)), 0)
 			v[sl[0]] += 1
 			v[sl[1]] -= dg
 			v[sl[2]] += dg

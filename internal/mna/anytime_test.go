@@ -31,12 +31,11 @@ func TestNanoConductancePivot(t *testing.T) {
 }
 
 // TestScaledPivotStillDetectsSingular checks the relative threshold has not
-// weakened the floating-node diagnosis: a node with no DC path stays a
-// structured singular-matrix error.
+// weakened the floating-node diagnosis: two nodes joined only by a resistor
+// have no DC path to ground, and stay a structured singular-matrix error.
 func TestScaledPivotStillDetectsSingular(t *testing.T) {
 	c := New()
-	n := c.NodeByName("floating")
-	c.AddI("i1", Ground, n, func(float64) float64 { return 1e-3 })
+	c.AddR("r1", c.NodeByName("fa"), c.NodeByName("fb"), 1e3)
 	_, err := c.DC()
 	if err == nil {
 		t.Fatal("expected singular matrix error")
@@ -105,8 +104,9 @@ func TestDCCancellationReturnsError(t *testing.T) {
 	}
 }
 
-// TestNewtonBudgetExhausted pins the iteration budget: 1 mA forced
-// backwards through a diode has no operating point, so every tier must end
+// TestNewtonBudgetExhausted pins the iteration budget: a switch that closes
+// above 0.5 V pulls its node, fed from 1 V through 1 kohm, down to 1 mV and
+// opens again, so the circuit has no operating point. Every tier must end
 // its DC in the convergence error after exactly newtonBudget iterations per
 // Newton run, not hang or return a wrong answer. The fast tier spends its
 // own budget, then falls back to the exact tier for the point.
@@ -120,9 +120,11 @@ func TestNewtonBudgetExhausted(t *testing.T) {
 		{SolverFast, 2, 1},
 	} {
 		c := New()
+		in := c.NodeByName("in")
 		n := c.NodeByName("n")
-		c.AddI("i", n, Ground, func(float64) float64 { return 1e-3 })
-		c.AddDiode("d", n, Ground)
+		c.AddV("v", in, Ground, func(float64) float64 { return 1 })
+		c.AddR("r", in, n, 1e3)
+		c.AddSwitch("s", n, Ground, n, Ground, 1, 1e9, 0.5)
 		c.Solver = tc.mode
 		_, err := c.DC()
 		const want = "mna: Newton iteration did not converge at t=0"

@@ -11,11 +11,10 @@ import (
 // randomCircuit builds the seeded random circuit number seed on 2–11
 // nodes, with values spread over decades. A resistor tree ties every node to
 // ground. A random subset of the nodes is driven, each by one
-// voltage-defining device (V, VCVS, op-amp or behavioral); every op-amp
-// takes an undriven node as its inverting input, with a feedback resistor
-// from the output. R, C, I and switches join random node pairs, and each
-// diode joins an undriven node to another. One circuit in 16 drives a node
-// twice, so its system is singular.
+// voltage-defining device (V, op-amp or behavioral); every op-amp takes an
+// undriven node as its inverting input, with a feedback resistor from the
+// output. R, C and switches join random node pairs. One circuit in 16
+// drives a node twice, so its system is singular.
 func randomCircuit(seed int64) *Circuit {
 	rng := rand.New(rand.NewSource(seed))
 	c := New()
@@ -49,20 +48,14 @@ func randomCircuit(seed int64) *Circuit {
 	}
 	for k, i := range driven {
 		name, out := fmt.Sprintf("drv%d", k), nodes[i+1]
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			c.AddV(name, out, Ground, sine(decade(0.1, 5)))
 		case 1:
-			gain := decade(0.1, 3)
-			if rng.Intn(2) == 0 {
-				gain = -gain
-			}
-			c.AddVCVS(name, out, Ground, anyNode(), anyNode(), gain)
-		case 2:
 			cm := nodes[free[rng.Intn(len(free))]+1]
 			c.AddOpAmp(name, out, Ground, cm, decade(1e3, 2e5), []float64{4, 12}[rng.Intn(2)])
 			c.AddR(name+"f", out, cm, decade(1e3, 1e6))
-		case 3:
+		case 2:
 			ctrl := []Node{anyNode(), anyNode()}[:1+rng.Intn(2)]
 			g := decade(0.1, 1)
 			c.AddFunc(name, out, ctrl, func(v []float64) float64 {
@@ -77,23 +70,12 @@ func randomCircuit(seed int64) *Circuit {
 	for k, np := 0, 1+rng.Intn(n+1); k < np; k++ {
 		name := fmt.Sprintf("p%d", k)
 		a, b := pair()
-		switch rng.Intn(5) {
+		switch rng.Intn(3) {
 		case 0:
 			c.AddR(name, a, b, decade(1e1, 1e7))
 		case 1:
 			c.AddC(name, a, b, decade(1e-12, 1e-6), float64(rng.Intn(3)-1))
 		case 2:
-			c.AddI(name, a, b, sine(decade(1e-6, 1e-4)))
-		case 3:
-			// Anchored at an undriven node: a diode across a driven pair
-			// forward-biases past the knee, and its current changes by
-			// more than the damped Newton budget can follow.
-			a = nodes[free[rng.Intn(len(free))]+1]
-			for b == a {
-				b = anyNode()
-			}
-			c.AddDiode(name, a, b)
-		case 4:
 			c.AddSwitch(name, a, b, anyNode(), anyNode(), decade(1, 1e2), decade(1e6, 1e9), rng.Float64()-0.5)
 		}
 	}
@@ -101,14 +83,13 @@ func randomCircuit(seed int64) *Circuit {
 }
 
 // randomRecord renders DC and a 30-step transient of randomCircuit(seed)
-// under method m on one tier: every solution value in exact hex, errors
-// verbatim, and the Newton iteration count and peak dimension.
-func randomRecord(seed int64, m Method, mode SolverMode) []string {
+// on one tier: every solution value in exact hex, errors verbatim, and the
+// Newton iteration count and peak dimension.
+func randomRecord(seed int64, mode SolverMode) []string {
 	var out []string
 	add := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
 	c := randomCircuit(seed)
 	c.Solver = mode
-	c.SetMethod(m)
 	dc, err := c.DC()
 	add("DC %x err %v", []float64(dc), err)
 	const h = 1.0 / (1 << 16) // 30*h is exact, so the window is 30 steps
@@ -123,27 +104,25 @@ func randomRecord(seed int64, m Method, mode SolverMode) []string {
 }
 
 // TestExactMatchesReferenceRandom holds the exact tier bit-identical to
-// SolverReference on seeded random circuits: DC and a transient under both
-// integration methods, compared on every value, error text, Newton
-// iteration count and peak dimension. Their diodes, switches and saturating
-// op-amps move the pivot sequence between iterations, so the elimination
-// schedule is re-recorded from mid-factorization columns.
+// SolverReference on seeded random circuits: DC and a transient, compared
+// on every value, error text, Newton iteration count and peak dimension.
+// Their switches and saturating op-amps move the pivot sequence between
+// iterations, so the elimination schedule is re-recorded from
+// mid-factorization columns.
 func TestExactMatchesReferenceRandom(t *testing.T) {
 	circuits := int64(3000)
 	if raceDetector {
 		circuits = 300
 	}
 	for seed := int64(0); seed < circuits; seed++ {
-		for _, m := range []Method{BackwardEuler, Trapezoidal} {
-			want := randomRecord(seed, m, SolverReference)
-			got := randomRecord(seed, m, SolverAuto)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d method %d: exact recorded %d observables, reference %d", seed, m, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d method %d: exact tier diverges:\n got %s\nwant %s", seed, m, got[i], want[i])
-				}
+		want := randomRecord(seed, SolverReference)
+		got := randomRecord(seed, SolverAuto)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: exact recorded %d observables, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: exact tier diverges:\n got %s\nwant %s", seed, got[i], want[i])
 			}
 		}
 	}
@@ -157,11 +136,11 @@ func TestExactMatchesReferenceRandom(t *testing.T) {
 // names. The circuit's pattern also holds fill outside that closure, from
 // pivot sequences met earlier, both below the pivots (rows a column's
 // pattern lists that the schedule leaves out) and in the pivot rows' tails,
-// so the schedule is narrower than the pattern on both sides. Seed 116 is
-// one whose transient re-records from mid-factorization columns, so a
-// closure rebuilt wrongly there shows.
+// so the schedule is narrower than the pattern on both sides. Seed 49 is
+// one whose transient re-records from mid-factorization columns (43 times),
+// so a closure rebuilt wrongly there shows.
 func TestExactScheduleIsClosure(t *testing.T) {
-	c := randomCircuit(116)
+	c := randomCircuit(49)
 	var skippedRows, skippedSrc int
 	check := func(when string) {
 		rows, src, err := checkClosure(c.sol)

@@ -9,9 +9,10 @@ import (
 )
 
 // feedbackChain builds a cascade of closed-loop inverting amplifier stages
-// with compensation capacitors and diode clamps — the same structure
-// Elaborate produces for synthesized gain chains, and the circuit class the
-// fast tier's budget contract is written for. (activeChain, by contrast, is
+// with compensation capacitors — the same structure Elaborate produces for
+// synthesized gain chains, and the circuit class the fast tier's budget
+// contract is written for — with every other stage loaded by a switch to
+// ground that closes once its output passes 1 V. (activeChain, by contrast, is
 // a deliberately ill-behaved open-loop stress case for pivoting; high-gain
 // open loops are Newton-multistable and no two solvers are obliged to agree
 // on them beyond the exact tier's bit-replay.)
@@ -30,7 +31,7 @@ func feedbackChain(stages int) *Circuit {
 		c.AddC(fmt.Sprintf("cc%d", i), sum, out, 100e-12, 0)
 		c.AddOpAmp(fmt.Sprintf("op%d", i), out, Ground, sum, 1e4, 4)
 		if i%2 == 1 {
-			c.AddDiode(fmt.Sprintf("d%d", i), out, Ground)
+			c.AddSwitch(fmt.Sprintf("sl%d", i), out, Ground, out, Ground, 1e3, 1e9, 1)
 		}
 		prev = out
 	}
@@ -51,7 +52,7 @@ func runTran(t *testing.T, stages int, mode SolverMode) (*Circuit, *Tran) {
 
 // TestFastTierTranWithinBudget pins the fast tier's core contract on the
 // active chain: every trace point within the default error budget of the
-// reference, over a window long enough to exercise diode clipping, op-amp
+// reference, over a window long enough to exercise load switching, op-amp
 // saturation and factorization reuse across thousands of steps.
 func TestFastTierTranWithinBudget(t *testing.T) {
 	for _, stages := range []int{2, 7} { // a small and a large plan

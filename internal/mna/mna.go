@@ -1,14 +1,15 @@
 // Package mna implements a small analog circuit simulator based on
-// modified nodal analysis: resistors, capacitors, independent and
-// controlled sources, diodes, voltage-controlled switches, and saturating
-// op-amp macromodels, with Newton-Raphson DC solution and fixed-step
-// backward-Euler transient analysis.
+// modified nodal analysis: resistors, capacitors, independent voltage
+// sources, voltage-controlled switches, saturating op-amp macromodels and
+// behavioral sources, with Newton-Raphson DC solution and fixed-step
+// backward-Euler transient analysis. These are exactly the devices the
+// elaborator builds.
 //
 // It substitutes for the SPICE runs of the paper's Section 6: synthesized
 // netlists elaborate into op-amp macromodel circuits (see Elaborate) whose
 // transient response reproduces the receiver experiment of Figure 8 —
-// amplification, comparator-controlled gain switching, and diode clipping
-// of the output stage.
+// amplification, comparator-controlled gain switching, and the clipping of
+// the saturating output stage.
 //
 // Every solver tier runs DC and transient points through one damped Newton
 // loop (newton.go) and supplies only the step that solves the system
@@ -50,12 +51,10 @@ const (
 	dResistor deviceKind = iota
 	dCapacitor
 	dVSource
-	dISource
-	dVCVS
-	dDiode
 	dSwitch
 	dOpAmp
 	dFunc
+	numDeviceKinds // the number of kinds above
 )
 
 // device is one circuit element.
@@ -64,16 +63,12 @@ type device struct {
 	name string
 	// Terminals (interpretation depends on kind).
 	a, b, cp, cm Node
-	// value: R ohms, C farads, VCVS gain.
+	// value: R ohms, C farads.
 	value float64
-	// wave drives independent sources.
+	// wave drives voltage sources.
 	wave Waveform
 	// ic is the capacitor initial voltage.
 	ic float64
-	// prevI is the capacitor's previous-step current (trapezoidal rule).
-	prevI float64
-	// Diode parameters.
-	isat, vt float64
 	// Switch parameters.
 	ron, roff, vth float64
 	// Op amp parameters: open-loop gain and saturation.
@@ -81,23 +76,12 @@ type device struct {
 	// Newton limiting memory (pnjlim-style) for the op amp knee.
 	lastVc  float64
 	hasLast bool
-	// branch is the extra MNA variable index for sources/op amps.
+	// branch is the extra MNA variable index of a voltage-defining device.
 	branch int
 	// f is the nonlinear function of a dFunc element; ctrl its inputs.
 	f    func(v []float64) float64
 	ctrl []Node
 }
-
-// Method selects the transient integration scheme.
-type Method int
-
-// Integration methods.
-const (
-	// BackwardEuler is robust and strongly damped (the default).
-	BackwardEuler Method = iota
-	// Trapezoidal is second-order accurate with no numerical damping.
-	Trapezoidal
-)
 
 // SolverMode selects the linear-solver tier backing DC, transient and AC
 // analyses. SolverAuto and SolverReference produce bit-identical solutions
@@ -192,8 +176,6 @@ type Circuit struct {
 	names   map[string]Node
 	nodes   int // highest node index
 	devices []*device
-	// method is the transient integration scheme.
-	method Method
 
 	// MaxTranSteps bounds the number of transient steps (0 = unlimited).
 	// When it binds the transient returns the truncated trace computed so
@@ -228,9 +210,6 @@ func New() *Circuit {
 		names: map[string]Node{"0": Ground, "gnd": Ground},
 	}
 }
-
-// SetMethod selects the transient integration scheme.
-func (c *Circuit) SetMethod(m Method) { c.method = m }
 
 // SolverStats reports the cumulative linear-algebra work done by this
 // circuit's analyses so far.
@@ -276,25 +255,6 @@ func (c *Circuit) AddV(name string, a, b Node, wave Waveform) {
 	c.devices = append(c.devices, &device{kind: dVSource, name: name, a: a, b: b, wave: wave})
 }
 
-// AddI connects an independent current source flowing from a to b.
-func (c *Circuit) AddI(name string, a, b Node, wave Waveform) {
-	c.track(a, b)
-	c.devices = append(c.devices, &device{kind: dISource, name: name, a: a, b: b, wave: wave})
-}
-
-// AddVCVS connects a linear voltage-controlled voltage source:
-// V(a,b) = gain * V(cp,cm).
-func (c *Circuit) AddVCVS(name string, a, b, cp, cm Node, gain float64) {
-	c.track(a, b, cp, cm)
-	c.devices = append(c.devices, &device{kind: dVCVS, name: name, a: a, b: b, cp: cp, cm: cm, value: gain})
-}
-
-// AddDiode connects a diode (anode a, cathode b).
-func (c *Circuit) AddDiode(name string, a, b Node) {
-	c.track(a, b)
-	c.devices = append(c.devices, &device{kind: dDiode, name: name, a: a, b: b, isat: 1e-14, vt: 0.02585})
-}
-
 // AddSwitch connects a voltage-controlled switch between a and b, closed
 // when V(cp,cm) > vth.
 func (c *Circuit) AddSwitch(name string, a, b, cp, cm Node, ron, roff, vth float64) {
@@ -328,7 +288,7 @@ func (c *Circuit) assignBranches() int {
 	nb := 0
 	for _, d := range c.devices {
 		switch d.kind {
-		case dVSource, dVCVS, dOpAmp, dFunc:
+		case dVSource, dOpAmp, dFunc:
 			d.branch = c.nodes + 1 + nb
 			nb++
 		}
@@ -351,22 +311,6 @@ func (s Solution) V(n Node) float64 {
 // Device linearization. These helpers hold the per-iteration companion
 // models shared by the plan-based and reference stamping paths, so the two
 // cannot drift numerically.
-
-// diodeLinearize returns the small-signal conductance and equivalent
-// current of the diode at junction voltage v.
-func (d *device) diodeLinearize(v float64) (g, ieq float64) {
-	// Limit the junction voltage for convergence.
-	if v > 0.9 {
-		v = 0.9
-	}
-	e := math.Exp(v / d.vt)
-	i := d.isat * (e - 1)
-	g = d.isat * e / d.vt
-	if g < 1e-12 {
-		g = 1e-12
-	}
-	return g, i - g*v
-}
 
 // switchR returns the switch resistance for the control voltage vc.
 func (d *device) switchR(vc float64) float64 {
@@ -402,13 +346,18 @@ func (d *device) opampLinearize(vc float64) (dg, rhs float64) {
 	}
 	d.lastVc = vc
 	d.hasLast = true
-	arg := d.gain * vc / d.vmax
-	out := d.vmax * math.Tanh(arg)
-	// Derivative of the saturating characteristic.
-	sech := 1 / math.Cosh(arg)
-	dg = d.gain * sech * sech
+	out := d.vmax * math.Tanh(d.gain*vc/d.vmax)
+	dg = d.opampSlope(vc)
 	// Equation: V(a) - (out + dg*(vc' - vc)) = 0.
 	return dg, out - dg*vc
+}
+
+// opampSlope is the derivative of the saturating op-amp characteristic
+// vmax*tanh(gain*vc/vmax) at control voltage vc: the small-signal gain of
+// the Newton linearization and of the AC sweep.
+func (d *device) opampSlope(vc float64) float64 {
+	sech := 1 / math.Cosh(d.gain*vc/d.vmax)
+	return d.gain * sech * sech
 }
 
 // funcLinearize evaluates the behavioral element around x: scratch receives
@@ -552,12 +501,6 @@ func (c *Circuit) TransientContext(ctx context.Context, tstop, h float64) (*Tran
 		}
 	}
 	record(0, x)
-	// Initialize capacitor current memory for the trapezoidal rule.
-	for _, d := range c.devices {
-		if d.kind == dCapacitor {
-			d.prevI = 0
-		}
-	}
 	for step := 1; step <= steps; step++ {
 		t := float64(step) * h
 		next, err := solve(xNext, x, x, t, h)
@@ -570,16 +513,6 @@ func (c *Circuit) TransientContext(ctx context.Context, tstop, h float64) (*Tran
 				return tr, nil
 			}
 			return nil, err
-		}
-		if c.method == Trapezoidal {
-			for _, d := range c.devices {
-				if d.kind != dCapacitor {
-					continue
-				}
-				vprev := x.V(d.a) - x.V(d.b)
-				vnew := next.V(d.a) - next.V(d.b)
-				d.prevI = 2*d.value/h*(vnew-vprev) - d.prevI
-			}
 		}
 		x, xNext = next, x
 		record(t, x)

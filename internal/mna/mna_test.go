@@ -22,36 +22,6 @@ func TestVoltageDividerDC(t *testing.T) {
 	}
 }
 
-func TestCurrentSourceIntoResistor(t *testing.T) {
-	c := New()
-	n := c.NodeByName("n")
-	c.AddI("i1", Ground, n, func(float64) float64 { return 1e-3 })
-	c.AddR("r1", n, Ground, 2e3)
-	sol, err := c.DC()
-	if err != nil {
-		t.Fatalf("dc: %v", err)
-	}
-	if got := sol.V(n); math.Abs(got-2) > 1e-9 {
-		t.Errorf("V = %g, want 2 (1 mA into 2 kohm)", got)
-	}
-}
-
-func TestVCVSGain(t *testing.T) {
-	c := New()
-	in := c.NodeByName("in")
-	out := c.NodeByName("out")
-	c.AddV("v1", in, Ground, func(float64) float64 { return 0.5 })
-	c.AddVCVS("e1", out, Ground, in, Ground, 10)
-	c.AddR("rl", out, Ground, 1e3)
-	sol, err := c.DC()
-	if err != nil {
-		t.Fatalf("dc: %v", err)
-	}
-	if got := sol.V(out); math.Abs(got-5) > 1e-9 {
-		t.Errorf("VCVS out = %g, want 5", got)
-	}
-}
-
 func TestRCTransient(t *testing.T) {
 	// RC step response: tau = 1 ms; at t = 1 ms, v = 1 - 1/e.
 	c := New()
@@ -68,27 +38,6 @@ func TestRCTransient(t *testing.T) {
 	got := tr.Node("out")[len(tr.Node("out"))-1]
 	if math.Abs(got-want) > 5e-3 {
 		t.Errorf("v(out) at tau = %g, want %g", got, want)
-	}
-}
-
-func TestDiodeClamp(t *testing.T) {
-	// A diode from the node to a 1 V source clamps positive excursions
-	// near 1.6 V.
-	c := New()
-	in := c.NodeByName("in")
-	n := c.NodeByName("n")
-	ref := c.NodeByName("ref")
-	c.AddV("vin", in, Ground, func(t float64) float64 { return 5 })
-	c.AddV("vref", ref, Ground, func(float64) float64 { return 1 })
-	c.AddR("rs", in, n, 1e3)
-	c.AddDiode("d1", n, ref)
-	sol, err := c.DC()
-	if err != nil {
-		t.Fatalf("dc: %v", err)
-	}
-	v := sol.V(n)
-	if v < 1.4 || v > 1.9 {
-		t.Errorf("clamped node = %g, want ~1.6-1.8", v)
 	}
 }
 
@@ -204,9 +153,8 @@ func TestBehavioralFunc(t *testing.T) {
 
 func TestSingularMatrixDetected(t *testing.T) {
 	c := New()
-	n := c.NodeByName("floating")
-	c.AddI("i1", Ground, n, func(float64) float64 { return 1e-3 })
-	// No DC path from n: singular.
+	c.AddR("r1", c.NodeByName("fa"), c.NodeByName("fb"), 1e3)
+	// No DC path from either node to ground: singular.
 	if _, err := c.DC(); err == nil {
 		t.Fatal("expected singular matrix error")
 	}
@@ -223,51 +171,5 @@ func TestTransientArgumentValidation(t *testing.T) {
 	// 1e39 steps overflow int: once a makeslice panic in the preallocation.
 	if _, err := c.Transient(1e30, 1e-9); err == nil || !strings.Contains(err.Error(), "step count") {
 		t.Errorf("tstop/h = 1e39: err = %v, want a step-count error", err)
-	}
-}
-
-func TestTrapezoidalMoreAccurateThanBE(t *testing.T) {
-	// RC step response at a coarse step: the trapezoidal rule's error at
-	// t = tau must be well below backward Euler's.
-	run := func(m Method) float64 {
-		c := New()
-		c.SetMethod(m)
-		in := c.NodeByName("in")
-		out := c.NodeByName("out")
-		c.AddV("v1", in, Ground, func(float64) float64 { return 1 })
-		c.AddR("r1", in, out, 1e3)
-		c.AddC("c1", out, Ground, 1e-6, 0)
-		tr, err := c.Transient(1e-3, 5e-5) // 20 steps per tau
-		if err != nil {
-			t.Fatalf("tran: %v", err)
-		}
-		got := tr.Node("out")[len(tr.Node("out"))-1]
-		return math.Abs(got - (1 - math.Exp(-1)))
-	}
-	be := run(BackwardEuler)
-	tz := run(Trapezoidal)
-	if tz > be/5 {
-		t.Errorf("trapezoidal error %g should be well below backward Euler %g", tz, be)
-	}
-}
-
-func TestTrapezoidalLCOscillatorUndamped(t *testing.T) {
-	// An RC relaxation comparison is indirect; instead verify low numerical
-	// damping on a lightly loaded RC divider driven by a sine: amplitude
-	// tracking error stays small at 20 steps/period.
-	c := New()
-	c.SetMethod(Trapezoidal)
-	in := c.NodeByName("in")
-	out := c.NodeByName("out")
-	f := 1e3
-	c.AddV("v1", in, Ground, func(t float64) float64 { return math.Sin(2 * math.Pi * f * t) })
-	c.AddR("r1", in, out, 1e3)
-	c.AddC("c1", out, Ground, 1e-9, 0) // corner at 159 kHz: nearly unity
-	tr, err := c.Transient(5e-3, 5e-5)
-	if err != nil {
-		t.Fatalf("tran: %v", err)
-	}
-	if max := tr.Max("out"); math.Abs(max-1) > 0.02 {
-		t.Errorf("amplitude = %g, want ~1 (negligible damping)", max)
 	}
 }

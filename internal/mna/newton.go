@@ -30,8 +30,8 @@ type newtonTier interface {
 // the convergence test and the iteration counter, and the tier supplies
 // only the step. It iterates from the start x, in place, and returns the
 // converged solution aliasing x. The per-iteration voltage change is
-// limited so that the saturating op-amp and diode characteristics cannot
-// make the iteration oscillate across their knees. An update below tol
+// limited so that the saturating op-amp characteristic cannot make the
+// iteration oscillate across its knee. An update below tol
 // converges; one computed through a reused factorization must also show
 // contraction (see fastChordAccept). Cancellation is observed between
 // iterations, so no solve can hold its goroutine past the caller's deadline

@@ -202,7 +202,7 @@ func mergeTail(dst, src []uint64, k int) {
 func (c *Circuit) matrixEntries(yield func(r, col int)) {
 	for _, d := range c.devices {
 		switch d.kind {
-		case dResistor, dCapacitor, dDiode, dSwitch:
+		case dResistor, dCapacitor, dSwitch:
 			yield(int(d.a), int(d.a))
 			yield(int(d.b), int(d.b))
 			yield(int(d.a), int(d.b))
@@ -210,13 +210,6 @@ func (c *Circuit) matrixEntries(yield func(r, col int)) {
 		case dVSource:
 			yield(d.branch, int(d.a))
 			yield(d.branch, int(d.b))
-			yield(int(d.a), d.branch)
-			yield(int(d.b), d.branch)
-		case dVCVS:
-			yield(d.branch, int(d.a))
-			yield(d.branch, int(d.b))
-			yield(d.branch, int(d.cp))
-			yield(d.branch, int(d.cm))
 			yield(int(d.a), d.branch)
 			yield(int(d.b), d.branch)
 		case dOpAmp:
@@ -382,13 +375,11 @@ func (c *Circuit) layout(s *solver) {
 	}
 
 	// Per-device slot lists. Layout per kind (mirrored by stampInto):
-	//   R/S     : aa bb ab ba
-	//   C/D     : aa bb ab ba rhs-a rhs-b
-	//   V       : br,a br,b a,br b,br rhs-br
-	//   I       : rhs-a rhs-b
-	//   VCVS    : br,a br,b br,cp br,cm a,br b,br
-	//   OpAmp   : br,a br,cp br,cm rhs-br a,br
-	//   Func    : br,a a,br rhs-br br,ctrl...
+	//   R, switch : aa bb ab ba
+	//   C         : aa bb ab ba rhs-a rhs-b
+	//   V         : br,a br,b a,br b,br rhs-br
+	//   OpAmp     : br,a br,cp br,cm rhs-br a,br
+	//   Func      : br,a a,br rhs-br br,ctrl...
 	s.slots = s.slots[:0]
 	if s.devOff == nil {
 		s.devOff = make([]int, len(c.devices))
@@ -400,18 +391,12 @@ func (c *Circuit) layout(s *solver) {
 		switch d.kind {
 		case dResistor, dSwitch:
 			s.slots = append(s.slots, slotOf(a, a), slotOf(b, b), slotOf(a, b), slotOf(b, a))
-		case dCapacitor, dDiode:
+		case dCapacitor:
 			s.slots = append(s.slots, slotOf(a, a), slotOf(b, b), slotOf(a, b), slotOf(b, a),
 				rhsSlot(a), rhsSlot(b))
 		case dVSource:
 			s.slots = append(s.slots, slotOf(d.branch, a), slotOf(d.branch, b),
 				slotOf(a, d.branch), slotOf(b, d.branch), rhsSlot(d.branch))
-		case dISource:
-			s.slots = append(s.slots, rhsSlot(a), rhsSlot(b))
-		case dVCVS:
-			s.slots = append(s.slots, slotOf(d.branch, a), slotOf(d.branch, b),
-				slotOf(d.branch, int(d.cp)), slotOf(d.branch, int(d.cm)),
-				slotOf(a, d.branch), slotOf(b, d.branch))
 		case dOpAmp:
 			s.slots = append(s.slots, slotOf(d.branch, a), slotOf(d.branch, int(d.cp)),
 				slotOf(d.branch, int(d.cm)), rhsSlot(d.branch), slotOf(a, d.branch))
@@ -460,16 +445,8 @@ func (c *Circuit) stampInto(s *solver, x, prev Solution, t, h float64) {
 				v[sl[3]] -= g
 				continue
 			}
-			vprev := prev.V(d.a) - prev.V(d.b)
-			var g, ieq float64
-			if c.method == Trapezoidal {
-				// Companion model: i = (2C/h)(v - vprev) - iprev.
-				g = 2 * d.value / h
-				ieq = g*vprev + d.prevI
-			} else {
-				g = d.value / h
-				ieq = g * vprev
-			}
+			g := d.value / h
+			ieq := g * (prev.V(d.a) - prev.V(d.b))
 			v[sl[0]] += g
 			v[sl[1]] += g
 			v[sl[2]] -= g
@@ -482,26 +459,6 @@ func (c *Circuit) stampInto(s *solver, x, prev Solution, t, h float64) {
 			v[sl[2]] += 1
 			v[sl[3]] -= 1
 			rhs[sl[4]] += d.wave(t)
-		case dISource:
-			ieq := -d.wave(t)
-			rhs[sl[0]] += ieq
-			rhs[sl[1]] -= ieq
-		case dVCVS:
-			// V(a,b) - gain*V(cp,cm) = 0 with branch current into a.
-			v[sl[0]] += 1
-			v[sl[1]] -= 1
-			v[sl[2]] -= d.value
-			v[sl[3]] += d.value
-			v[sl[4]] += 1
-			v[sl[5]] -= 1
-		case dDiode:
-			g, ieq := d.diodeLinearize(x.V(d.a) - x.V(d.b))
-			v[sl[0]] += g
-			v[sl[1]] += g
-			v[sl[2]] -= g
-			v[sl[3]] -= g
-			rhs[sl[4]] -= ieq
-			rhs[sl[5]] += ieq
 		case dSwitch:
 			g := 1 / d.switchR(x.V(d.cp)-x.V(d.cm))
 			v[sl[0]] += g

@@ -81,33 +81,11 @@ func (c *Circuit) stampRef(m *matrix, x Solution, prev Solution, t, h float64) {
 				m.addG(d.a, d.b, 1e-12)
 				continue
 			}
-			vprev := prev.V(d.a) - prev.V(d.b)
-			if c.method == Trapezoidal {
-				// Companion model: i = (2C/h)(v - vprev) - iprev.
-				g := 2 * d.value / h
-				m.addG(d.a, d.b, g)
-				m.addI(d.a, d.b, g*vprev+d.prevI)
-			} else {
-				g := d.value / h
-				m.addG(d.a, d.b, g)
-				m.addI(d.a, d.b, g*vprev)
-			}
+			g := d.value / h
+			m.addG(d.a, d.b, g)
+			m.addI(d.a, d.b, g*(prev.V(d.a)-prev.V(d.b)))
 		case dVSource:
 			m.stampVSource(d.branch, d.a, d.b, d.wave(t))
-		case dISource:
-			m.addI(d.a, d.b, -d.wave(t))
-		case dVCVS:
-			// V(a,b) - gain*V(cp,cm) = 0 with branch current into a.
-			m.a[d.branch][d.a] += 1
-			m.a[d.branch][d.b] -= 1
-			m.a[d.branch][d.cp] -= d.value
-			m.a[d.branch][d.cm] += d.value
-			m.a[d.a][d.branch] += 1
-			m.a[d.b][d.branch] -= 1
-		case dDiode:
-			g, ieq := d.diodeLinearize(vx(d.a) - vx(d.b))
-			m.addG(d.a, d.b, g)
-			m.addI(d.a, d.b, -ieq)
 		case dSwitch:
 			m.addG(d.a, d.b, 1/d.switchR(vx(d.cp)-vx(d.cm)))
 		case dOpAmp:

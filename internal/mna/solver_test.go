@@ -8,7 +8,8 @@ import (
 	"testing"
 )
 
-// activeChain builds a chain of diode-clamped inverting integrator stages:
+// activeChain builds a chain of inverting integrator stages, every other one
+// loaded by a switch to ground that closes once its output passes 0.6 V:
 // enough op-amp branch rows and cross-stage coupling that the sparse plan
 // exercises pivoting, elimination fill and the replay cache, while staying
 // deterministic (fixed stimulus, fixed step).
@@ -27,7 +28,7 @@ func activeChain(stages int) *Circuit {
 		c.AddR(fmt.Sprintf("rf%d", i), sum, out, 1e6)
 		c.AddOpAmp(fmt.Sprintf("op%d", i), out, Ground, sum, 2e5, 12)
 		if i%2 == 1 {
-			c.AddDiode(fmt.Sprintf("d%d", i), out, Ground)
+			c.AddSwitch(fmt.Sprintf("sl%d", i), out, Ground, out, Ground, 1, 1e9, 0.6)
 		}
 		prev = out
 	}
@@ -104,56 +105,58 @@ func TestSparsePatternGrowth(t *testing.T) {
 	}
 }
 
-// diodeClipper builds a sine-driven RC stage clamped by antiparallel diodes
-// (dimension 3).
-func diodeClipper() *Circuit {
+// switchClipper builds a sine-driven RC stage clamped at ±1 V by two
+// switches, each closing onto its reference source once the output passes
+// it (dimension 7).
+func switchClipper() *Circuit {
 	c := New()
 	in := c.NodeByName("in")
 	out := c.NodeByName("out")
+	hi := c.NodeByName("hi")
+	lo := c.NodeByName("lo")
 	c.AddV("vin", in, Ground, func(t float64) float64 {
 		return 2 * math.Sin(2*math.Pi*1e3*t)
 	})
+	c.AddV("vhi", hi, Ground, func(float64) float64 { return 1 })
+	c.AddV("vlo", lo, Ground, func(float64) float64 { return -1 })
 	c.AddR("r", in, out, 1e3)
 	c.AddC("c", out, Ground, 1e-8, 0)
-	c.AddDiode("dp", out, Ground)
-	c.AddDiode("dn", Ground, out)
+	c.AddSwitch("shi", out, hi, out, hi, 10, 1e9, 0)
+	c.AddSwitch("slo", out, lo, lo, out, 10, 1e9, 0)
 	return c
 }
 
-// floatingChain is activeChain(1) plus a node driven only by a current
-// source: no DC path, so every analysis fails on a singular pivot.
+// floatingChain is activeChain(1) plus two nodes joined only by a resistor:
+// no DC path to ground, so every analysis fails on a singular pivot.
 func floatingChain() *Circuit {
 	c := activeChain(1)
-	c.AddI("ifl", Ground, c.NodeByName("fl"), func(float64) float64 { return 1e-3 })
+	c.AddR("rfl", c.NodeByName("fa"), c.NodeByName("fb"), 1e3)
 	return c
 }
 
-// exactRecord renders every observable of DC, the transient and an AC sweep
-// under both integration methods, floats in exact hex, errors verbatim. The
-// window drives activeChain(3)'s last stage into saturation while Newton
-// still converges on every circuit.
+// exactRecord renders every observable of DC, the transient and an AC
+// sweep, floats in exact hex, errors verbatim. The window drives
+// activeChain(3)'s last stage into saturation while Newton still converges
+// on every circuit.
 func exactRecord(build func() *Circuit, mode SolverMode) []string {
 	var out []string
 	add := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
-	for _, m := range []Method{BackwardEuler, Trapezoidal} {
-		c := build()
-		c.Solver = mode
-		c.SetMethod(m)
-		dc, err := c.DC()
-		add("method %d: DC %x err %v", m, []float64(dc), err)
-		tr, err := c.Transient(9e-5, 1e-6)
-		add("method %d: transient err %v", m, err)
-		for n := 1; tr != nil && n <= c.NumNodes(); n++ {
-			for i, v := range tr.V[Node(n)] {
-				add("method %d: transient node %d sample %d: %x", m, n, i, v)
-			}
+	c := build()
+	c.Solver = mode
+	dc, err := c.DC()
+	add("DC %x err %v", []float64(dc), err)
+	tr, err := c.Transient(9e-5, 1e-6)
+	add("transient err %v", err)
+	for n := 1; tr != nil && n <= c.NumNodes(); n++ {
+		for i, v := range tr.V[Node(n)] {
+			add("transient node %d sample %d: %x", n, i, v)
 		}
-		ac, err := c.AC("vin", LogSweep(10, 1e6, 13))
-		add("method %d: AC err %v", m, err)
-		for n := 1; ac != nil && n <= c.NumNodes(); n++ {
-			for i, v := range ac.V[Node(n)] {
-				add("method %d: AC node %d point %d: %x", m, n, i, v)
-			}
+	}
+	ac, err := c.AC("vin", LogSweep(10, 1e6, 13))
+	add("AC err %v", err)
+	for n := 1; ac != nil && n <= c.NumNodes(); n++ {
+		for i, v := range ac.V[Node(n)] {
+			add("AC node %d point %d: %x", n, i, v)
 		}
 	}
 	return out
@@ -161,9 +164,9 @@ func exactRecord(build func() *Circuit, mode SolverMode) []string {
 
 // TestExactMatchesReferenceSmall pins the exact tier where the corpus
 // equivalence suite never reaches (its smallest circuit has dimension 17):
-// at dimensions 2–11 the CSR factorization's DC, backward-Euler and
-// trapezoidal transients and AC sweep are bit-identical to SolverReference,
-// and a floating node fails with the reference's error text.
+// at dimensions 2–11 the CSR factorization's DC, transient and AC sweep
+// are bit-identical to SolverReference, and a floating node fails with the
+// reference's error text.
 func TestExactMatchesReferenceSmall(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -173,7 +176,7 @@ func TestExactMatchesReferenceSmall(t *testing.T) {
 		{"chain1", func() *Circuit { return activeChain(1) }},
 		{"chain2", func() *Circuit { return activeChain(2) }},
 		{"chain3", func() *Circuit { return activeChain(3) }},
-		{"clipper", diodeClipper},
+		{"clipper", switchClipper},
 		{"floating", floatingChain},
 	}
 	for _, tc := range cases {

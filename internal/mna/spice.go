@@ -39,7 +39,7 @@ func (c *Circuit) SpiceDeck(title string) string {
 		return fmt.Sprintf("n%d", int(n))
 	}
 
-	rIdx, cIdx, vIdx, dIdx, sIdx, xIdx, bIdx := 0, 0, 0, 0, 0, 0, 0
+	rIdx, cIdx, vIdx, sIdx, xIdx, bIdx := 0, 0, 0, 0, 0, 0
 	for _, d := range c.devices {
 		switch d.kind {
 		case dResistor:
@@ -52,16 +52,6 @@ func (c *Circuit) SpiceDeck(title string) string {
 			vIdx++
 			fmt.Fprintf(&b, "V%d_%s %s %s DC %g  * time-varying in-program source\n",
 				vIdx, sanitize(d.name), nn(d.a), nn(d.b), d.wave(0))
-		case dISource:
-			vIdx++
-			fmt.Fprintf(&b, "I%d_%s %s %s DC %g\n", vIdx, sanitize(d.name), nn(d.a), nn(d.b), d.wave(0))
-		case dVCVS:
-			vIdx++
-			fmt.Fprintf(&b, "E%d_%s %s %s %s %s %g\n", vIdx, sanitize(d.name),
-				nn(d.a), nn(d.b), nn(d.cp), nn(d.cm), d.value)
-		case dDiode:
-			dIdx++
-			fmt.Fprintf(&b, "D%d_%s %s %s DMOD\n", dIdx, sanitize(d.name), nn(d.a), nn(d.b))
 		case dSwitch:
 			sIdx++
 			fmt.Fprintf(&b, "S%d_%s %s %s %s %s SWMOD  * ron=%g roff=%g vth=%g\n",
@@ -80,8 +70,7 @@ func (c *Circuit) SpiceDeck(title string) string {
 				bIdx, sanitize(d.name), nn(d.a), strings.Join(ins, ", "))
 		}
 	}
-	b.WriteString("\n.model DMOD D(IS=1e-14)\n")
-	b.WriteString(".model SWMOD SW(RON=100 ROFF=1e9 VT=0)\n")
+	b.WriteString("\n.model SWMOD SW(RON=100 ROFF=1e9 VT=0)\n")
 	b.WriteString(".end\n")
 	return b.String()
 }

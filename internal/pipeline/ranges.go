@@ -68,15 +68,9 @@ func (p *Pipeline) Ranges(ctx context.Context, name, text string) (*RangesResult
 	return p.RangesText(ctx, cr.Module, cr.Text)
 }
 
-// RangesModule runs the ranges stage on a VHIF module, deriving the cache
-// key from the module's canonical dump.
-func (p *Pipeline) RangesModule(ctx context.Context, m *vhif.Module) (*RangesResult, error) {
-	return p.RangesText(ctx, m, m.Dump())
-}
-
-// RangesText is RangesModule for callers that already hold the module's
-// serialized text (the compile stage's artifact), avoiding a redundant
-// dump. text must be the canonical serialization of m.
+// RangesText runs the ranges stage on a VHIF module whose serialized text
+// (the compile stage's artifact) the caller already holds; the text keys
+// the cache. text must be the canonical serialization of m.
 func (p *Pipeline) RangesText(ctx context.Context, m *vhif.Module, text string) (*RangesResult, error) {
 	v, src, err := p.memo(ctx, StageRanges, RangesKey(text), rangesCodec,
 		func(ctx context.Context) (any, bool, error) {

@@ -225,16 +225,11 @@ func (b *Block) SetCtrl(g *Graph, ctrl *Net) {
 	}
 }
 
-// Inputs returns the graph's input blocks in insertion order.
-func (g *Graph) InputBlocks() []*Block { return g.blocksOfKind(BInput) }
-
-// OutputBlocks returns the graph's output blocks in insertion order.
-func (g *Graph) OutputBlocks() []*Block { return g.blocksOfKind(BOutput) }
-
-func (g *Graph) blocksOfKind(k BlockKind) []*Block {
+// InputBlocks returns the graph's input blocks in insertion order.
+func (g *Graph) InputBlocks() []*Block {
 	var out []*Block
 	for _, b := range g.Blocks {
-		if b.Kind == k {
+		if b.Kind == BInput {
 			out = append(out, b)
 		}
 	}
