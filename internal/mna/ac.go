@@ -94,22 +94,23 @@ func (c *Circuit) AC(acSource string, freqs []float64) (*ACResult, error) {
 // Truncated set, mirroring the transient simulator's anytime contract.
 // A frequency that is NaN, infinite or negative is an error.
 //
-// The plan tiers fan the sweep out across GOMAXPROCS goroutines; every
-// worker count produces the identical result (see acSweep).
+// Every tier fans the sweep out across GOMAXPROCS goroutines; every worker
+// count produces the identical result (see acSweep).
 func (c *Circuit) ACContext(ctx context.Context, acSource string, freqs []float64) (*ACResult, error) {
 	return c.acSweep(ctx, acSource, freqs, runtime.GOMAXPROCS(0))
 }
 
-// acSweep is the one AC sweep loop of every tier. Frequency points are
-// independent complex solves over the same structure, dispatched in
+// acSweep is the one AC sweep loop of every tier. The tiers differ only in
+// the operating point their DC finds: the small-signal system is assembled
+// once at that point, before the fan-out, so every behavioral Jacobian is
+// evaluated on this goroutine (Elaborate's closures share scratch).
+// Frequency points are then independent dense complex solves, dispatched in
 // ascending order by an atomic counter to at most workers goroutines, each
-// with its own point solver. Every worker count produces the identical
-// result: each point's arithmetic is self-contained, solutions and errors
-// land in per-point slots, a worker stops at its own first failure, and
-// after the wait the first unsolved point is the truncation point if the
-// context ended, and otherwise the lowest failing point, whose error is
-// returned. The reference tier runs on one worker: its behavioral (dFunc)
-// closures share scratch.
+// with its own scratch. Every worker count produces the identical result:
+// each point's arithmetic is self-contained, solutions and errors land in
+// per-point slots, a worker stops at its own first failure, and after the
+// wait the first unsolved point is the truncation point if the context
+// ended, and otherwise the lowest failing point, whose error is returned.
 func (c *Circuit) acSweep(ctx context.Context, acSource string, freqs []float64, workers int) (*ACResult, error) {
 	for _, f := range freqs {
 		if !(f >= 0 && f <= math.MaxFloat64) {
@@ -128,28 +129,7 @@ func (c *Circuit) acSweep(ctx context.Context, acSource string, freqs []float64,
 	if !slices.ContainsFunc(c.devices, func(d *device) bool { return d.kind == dVSource && d.name == acSource }) {
 		return nil, fmt.Errorf("mna: no voltage source %q for the AC stimulus", acSource)
 	}
-
-	// newPoint returns one worker's point solver. The returned solution is
-	// 1-based and valid until the solver's next call.
-	newPoint := func() func(f float64) ([]complex128, error) {
-		return func(f float64) ([]complex128, error) { return c.acSolve(op, acSource, f) }
-	}
-	if c.Solver == SolverReference {
-		workers = 1
-	} else {
-		s, err := c.ensureSolver()
-		if err != nil {
-			return nil, err
-		}
-		tmpl := c.buildACTemplate(s, op, acSource)
-		newPoint = func() func(f float64) ([]complex128, error) {
-			ws := newACWorkspace(s)
-			return func(f float64) ([]complex128, error) {
-				err := ws.solvePoint(s, tmpl, f)
-				return ws.x, err
-			}
-		}
-	}
+	g, caps := c.acAssemble(op, acSource)
 
 	// Node voltages by node, then by point: back holds one column per node.
 	nf := len(freqs)
@@ -164,19 +144,18 @@ func (c *Circuit) acSweep(ctx context.Context, acSource string, freqs []float64,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			solve := newPoint()
+			p := newACPoint(g.n)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= nf || ctx.Err() != nil {
 					return
 				}
-				x, err := solve(freqs[i])
-				if err != nil {
+				if err := p.solve(g, caps, freqs[i]); err != nil {
 					errs[i] = err
 					return
 				}
 				for n := 0; n < c.nodes; n++ {
-					back[n*nf+i] = x[n+1]
+					back[n*nf+i] = p.x[n+1]
 				}
 				done[i] = true
 			}
@@ -203,77 +182,96 @@ func (c *Circuit) acSweep(ctx context.Context, acSource string, freqs []float64,
 	return res, nil
 }
 
-// acSolve assembles and solves the complex linearized system at frequency f.
-// Each device's small-signal model is the one its Newton linearization
-// uses, taken at the operating point without Newton limiting.
-func (c *Circuit) acSolve(op Solution, acSource string, f float64) ([]complex128, error) {
-	dim := c.nodes + c.assignBranches()
-	a := make([][]complex128, dim+1)
-	for i := range a {
-		a[i] = make([]complex128, dim+2) // last column is the RHS
-	}
-	omega := 2 * math.Pi * f
-
-	addG := func(p, q Node, g complex128) {
-		a[p][p] += g
-		a[q][q] += g
-		a[p][q] -= g
-		a[q][p] -= g
-	}
+// acAssemble linearizes the circuit at the operating point op into g, the
+// real part of the small-signal system with acSource as the unit stimulus,
+// and returns the capacitors, whose admittance jωC is the system's only
+// frequency-dependent part. Each device's small-signal model is the one its
+// Newton linearization uses, taken at the operating point without Newton
+// limiting.
+func (c *Circuit) acAssemble(op Solution, acSource string) (g *matrix, caps []*device) {
+	g = newMatrix(c.nodes + c.assignBranches())
 	for _, d := range c.devices {
 		switch d.kind {
 		case dResistor:
-			addG(d.a, d.b, complex(1/d.value, 0))
+			g.addG(d.a, d.b, 1/d.value)
 		case dCapacitor:
-			addG(d.a, d.b, complex(0, omega*d.value))
+			caps = append(caps, d)
 		case dVSource:
 			stim := 0.0
 			if d.name == acSource {
 				stim = 1
 			}
-			a[d.branch][d.a] += 1
-			a[d.branch][d.b] -= 1
-			a[d.a][d.branch] += 1
-			a[d.b][d.branch] -= 1
-			a[d.branch][dim+1] += complex(stim, 0)
+			g.stampVSource(d.branch, d.a, d.b, stim)
 		case dSwitch:
-			addG(d.a, d.b, complex(1/d.switchR(op.V(d.cp)-op.V(d.cm)), 0))
+			g.addG(d.a, d.b, 1/d.switchR(op.V(d.cp)-op.V(d.cm)))
 		case dOpAmp:
-			dg := complex(d.opampSlope(op.V(d.cp)-op.V(d.cm)), 0)
-			a[d.branch][d.a] += 1
-			a[d.branch][d.cp] -= dg
-			a[d.branch][d.cm] += dg
-			a[d.a][d.branch] += 1
+			dg := d.opampSlope(op.V(d.cp) - op.V(d.cm))
+			g.a[d.branch][d.a] += 1
+			g.a[d.branch][d.cp] -= dg
+			g.a[d.branch][d.cm] += dg
+			g.a[d.a][d.branch] += 1
 		case dFunc:
 			dps := make([]float64, len(d.ctrl))
 			d.funcLinearize(op, make([]float64, len(d.ctrl)), dps)
-			a[d.branch][d.a] += 1
+			g.a[d.branch][d.a] += 1
 			for i, n := range d.ctrl {
-				a[d.branch][n] -= complex(dps[i], 0)
+				g.a[d.branch][n] -= dps[i]
 			}
-			a[d.a][d.branch] += 1
+			g.a[d.a][d.branch] += 1
 		}
 	}
+	return g, caps
+}
 
-	// Reduced complex system: drop the ground row and column.
-	m := make([][]complex128, dim)
-	for i := range m {
-		m[i] = a[i+1][1:]
+// acPoint is one sweep worker's dense scratch: the complex system with its
+// ground row and column (the right-hand side last), the reduced row headers
+// eliminateAC permutes, and the 1-based solution.
+type acPoint struct {
+	a, rows [][]complex128
+	x       []complex128
+}
+
+func newACPoint(n int) *acPoint {
+	p := &acPoint{a: make([][]complex128, n+1), rows: make([][]complex128, n), x: make([]complex128, n+1)}
+	back := make([]complex128, (n+1)*(n+2))
+	for i := range p.a {
+		p.a[i] = back[i*(n+2) : (i+1)*(n+2)]
 	}
-	x := make([]complex128, dim+1)
-	if err := eliminateAC(m, x); err != nil {
-		return nil, err
+	return p
+}
+
+// solve solves the system at frequency f into p.x: it loads g's real
+// entries, adds each capacitor's jωC in device order and runs eliminateAC,
+// allocating nothing. Complex addition is componentwise and no accumulator
+// of the assembly can hold a -0 component, so adding the capacitors last
+// gives the bits of an assembly that interleaves them in device order.
+func (p *acPoint) solve(g *matrix, caps []*device, f float64) error {
+	for i, row := range p.a {
+		for j, v := range g.a[i] {
+			row[j] = complex(v, 0)
+		}
+		row[g.n+1] = complex(g.rhs[i], 0)
 	}
-	return x, nil
+	omega := 2 * math.Pi * f
+	for _, d := range caps {
+		y := complex(0, omega*d.value)
+		p.a[d.a][d.a] += y
+		p.a[d.b][d.b] += y
+		p.a[d.a][d.b] -= y
+		p.a[d.b][d.a] -= y
+	}
+	for i := range p.rows {
+		p.rows[i] = p.a[i+1][1:]
+	}
+	return eliminateAC(p.rows, p.x)
 }
 
 // eliminateAC solves the reduced complex system m (n rows of n coefficients
 // followed by the right-hand side) into the 1-based solution x by Gaussian
 // elimination with partial pivoting, overwriting m and permuting its rows.
-// It is the one complex eliminator: the reference tier's acSolve and the
-// plan tiers' sparse-miss path both run it. The pivot is the largest
-// cmplx.Abs in row order, the earlier row on ties; a pivot modulus below
-// the absolute 1e-15 threshold is singular.
+// It is the one complex eliminator: every tier's AC points run it. The
+// pivot is the largest cmplx.Abs in row order, the earlier row on ties; a
+// pivot modulus below the absolute 1e-15 threshold is singular.
 func eliminateAC(m [][]complex128, x []complex128) error {
 	n := len(m)
 	for col := 0; col < n; col++ {

@@ -106,77 +106,26 @@ func TestMagDB(t *testing.T) {
 	}
 }
 
-// TestACMissPathMatchesReference pins the plan tiers' sparse-miss path: a
-// point that stays in the pattern allocates no dense scratch, a workspace
-// allocates its scratch once and then solves every missed point without
-// allocating, and every missed point equals the reference's acSolve at the
-// same frequency, bit for bit.
-func TestACMissPathMatchesReference(t *testing.T) {
-	// sweepState linearizes activeChain(7) at the operating point of the
-	// given tier and returns its AC template and a fresh workspace.
-	sweepState := func(mode SolverMode) (*Circuit, Solution, *solver, *acTemplate, *acWorkspace) {
-		c := activeChain(7)
-		c.Solver = mode
-		op, err := c.DC()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := c.ensureSolver()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, op, s, c.buildACTemplate(s, op, "vin"), newACWorkspace(s)
-	}
-
-	// The exact tier's DC grows the pattern by its real pivots' fill, which
-	// holds this point's complex elimination.
-	_, _, s, tmpl, ws := sweepState(SolverAuto)
-	if err := ws.solvePoint(s, tmpl, 1e3); err != nil {
+// TestACPointZeroAllocsWarm pins the sweep's per-point cost: once a
+// worker's scratch exists, solving a frequency point (loading the
+// small-signal system, adding the capacitors' jωC and eliminating)
+// allocates nothing.
+func TestACPointZeroAllocsWarm(t *testing.T) {
+	c := activeChain(7)
+	op, err := c.DC()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.dense != nil {
-		t.Fatal("dense scratch allocated without a pattern miss")
-	}
-
-	// The fast tier's DC leaves the exact plan without fill, so every
-	// complex elimination leaves the pattern.
-	c, op, s, tmpl, ws := sweepState(SolverFast)
-	for i, f := range LogSweep(10, 1e8, 256) {
-		ws.load(tmpl, f)
-		if err := ws.sparseFactorSolve(s); err != errACSparseMiss {
-			t.Fatalf("%g Hz: sparse elimination returned %v, want a pattern miss", f, err)
-		}
-		if i == 0 && ws.dense != nil {
-			t.Fatal("dense scratch allocated before the first miss")
-		}
-		if err := ws.solvePoint(s, tmpl, f); err != nil {
-			t.Fatalf("%g Hz: %v", f, err)
-		}
-		if i == 0 {
-			allocs := testing.AllocsPerRun(20, func() {
-				if err := ws.solvePoint(s, tmpl, f); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("missed point: %v allocs, want 0 (the scratch must be reused)", allocs)
-			}
-		}
-		want, err := c.acSolve(op, "vin", f)
-		if err != nil {
+	g, caps := c.acAssemble(op, "vin")
+	p := newACPoint(g.n)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := p.solve(g, caps, 1e3); err != nil {
 			t.Fatal(err)
 		}
-		for k := range want {
-			if !complexBitsEqual(ws.x[k], want[k]) {
-				t.Fatalf("%g Hz x[%d] = %v, reference %v", f, k, ws.x[k], want[k])
-			}
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm AC point: %v allocs, want 0", allocs)
 	}
-}
-
-func complexBitsEqual(a, b complex128) bool {
-	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
-		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
 // TestACFailureReportsLowestPoint pins the failure rule of the sweep: a
@@ -204,9 +153,6 @@ func TestACFailureReportsLowestPoint(t *testing.T) {
 	}{{"reference", SolverReference}, {"exact", SolverAuto}, {"fast", SolverFast}} {
 		if _, err := build(tier.mode).AC("vin", freqs); err == nil || err.Error() != want {
 			t.Errorf("%s: error %v, want %q", tier.name, err, want)
-		}
-		if tier.mode == SolverReference {
-			continue
 		}
 		for _, workers := range []int{1, 2, 8} {
 			_, err := build(tier.mode).acSweep(context.Background(), "vin", freqs, workers)

@@ -467,7 +467,8 @@ func (e *elab) behavioral(c *netlist.Component) error {
 	// Newton iteration touches each behavioral element several times for
 	// the numeric Jacobian) allocates nothing. Safe: the simulator calls
 	// each element's f sequentially — the parallel AC sweep evaluates
-	// behavioral Jacobians only once, while building the template.
+	// behavioral Jacobians only once, while assembling the small-signal
+	// system before its fan-out.
 	tv := make([]float64, len(ctrls))
 	f := func(v []float64) float64 {
 		for i := range v {

@@ -136,10 +136,7 @@ func TestFastTierReusesFactorizations(t *testing.T) {
 func TestFastTierZeroAllocsWarm(t *testing.T) {
 	c := activeChain(7)
 	c.Solver = SolverFast
-	solve, dim, err := c.pointSolver(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	solve, dim := c.pointSolver(context.Background())
 	dst := make(Solution, dim+1)
 	zero := make(Solution, dim+1)
 	for i := 0; i < 3; i++ {
@@ -233,10 +230,7 @@ func TestErrorBudgetCanonical(t *testing.T) {
 func BenchmarkMNASolveFast(b *testing.B) {
 	c := activeChain(7)
 	c.Solver = SolverFast
-	solve, dim, err := c.pointSolver(context.Background())
-	if err != nil {
-		b.Fatal(err)
-	}
+	solve, dim := c.pointSolver(context.Background())
 	dst := make(Solution, dim+1)
 	zero := make(Solution, dim+1)
 	for i := 0; i < 3; i++ {

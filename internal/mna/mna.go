@@ -394,10 +394,7 @@ func (c *Circuit) DC() (Solution, error) {
 // iteration polls ctx between iterations and returns the context error on
 // cancellation (a half-converged operating point is not useful).
 func (c *Circuit) DCContext(ctx context.Context) (Solution, error) {
-	solve, dim, err := c.pointSolver(ctx)
-	if err != nil {
-		return nil, err
-	}
+	solve, dim := c.pointSolver(ctx)
 	zero := make(Solution, dim+1)
 	return solve(make(Solution, dim+1), zero, zero, 0, -1)
 }
@@ -447,10 +444,7 @@ func (c *Circuit) TransientContext(ctx context.Context, tstop, h float64) (*Tran
 		return nil, fmt.Errorf("mna: tstop/h = %g steps is not a representable step count", n)
 	}
 
-	solve, dim, err := c.pointSolver(ctx)
-	if err != nil {
-		return nil, err
-	}
+	solve, dim := c.pointSolver(ctx)
 
 	// Initial condition: capacitor ICs enforced via a pseudo-DC with the
 	// companion model of a tiny step.

@@ -78,28 +78,25 @@ func (c *Circuit) newton(ctx context.Context, tier newtonTier, x, prev Solution,
 // function solves one DC (h <= 0) or transient point: Newton from x0,
 // iterating in dst (len dim+1), which it returns. dim is the reduced
 // system dimension.
-func (c *Circuit) pointSolver(ctx context.Context) (solve func(dst, x0, prev Solution, t, h float64) (Solution, error), dim int, err error) {
+func (c *Circuit) pointSolver(ctx context.Context) (solve func(dst, x0, prev Solution, t, h float64) (Solution, error), dim int) {
 	var tier newtonTier
 	if c.Solver == SolverReference {
 		m := newMatrix(c.nodes + c.assignBranches())
 		c.stats.PeakDim = max(c.stats.PeakDim, m.n)
 		tier, dim = m, m.n
 	} else {
-		s, err := c.ensureSolver()
-		if err != nil {
-			return nil, 0, err
-		}
+		s := c.ensureSolver()
 		if c.Solver == SolverFast {
 			return func(dst, x0, prev Solution, t, h float64) (Solution, error) {
 				return c.solveFast(ctx, s, dst, x0, prev, t, h)
-			}, s.dim, nil
+			}, s.dim
 		}
 		tier, dim = (*exactTier)(s), s.dim
 	}
 	return func(dst, x0, prev Solution, t, h float64) (Solution, error) {
 		copy(dst, x0)
 		return c.newton(ctx, tier, dst, prev, t, h, newtonTol)
-	}, dim, nil
+	}, dim
 }
 
 // exactTier is the exact tier's view of the plan workspace.

@@ -10,11 +10,11 @@ import (
 // circuit that lets every subsequent Newton iteration restamp and refactor
 // the MNA system without allocating or re-deriving matrix positions.
 //
-// The plan records, per device, the flat storage slots its companion model
-// writes (in the exact order the reference stamper writes them, so aliased
-// slots accumulate identically). The matrix is stored as CSR over an
-// adaptive pattern: it starts as exactly the stamped entries and grows on
-// demand.
+// The plan records, per device, the flat storage slots of the entries its
+// companion model writes (device.entries, in the exact order the reference
+// stamper writes them, so aliased slots accumulate identically). The
+// matrix is stored as CSR over an adaptive pattern: it starts as exactly
+// the stamped entries and grows on demand.
 // Because partial pivoting picks pivots from runtime values, the fill
 // pattern of an elimination cannot be known in advance without a ruinous
 // over-approximation (closing the stamped pattern under every possible
@@ -113,8 +113,8 @@ type solver struct {
 
 	next Solution // Newton update workspace of the exact and fast steps
 
-	// slots packs per-device write positions; devOff[i] is device i's
-	// offset. Layout per kind is fixed and mirrored by Circuit.stampInto.
+	// slots packs per-device write positions, in device.entries order;
+	// devOff[i] is device i's offset.
 	slots  []int
 	devOff []int
 
@@ -197,43 +197,59 @@ func mergeTail(dst, src []uint64, k int) {
 	}
 }
 
-// matrixEntries enumerates the MNA matrix positions (in MNA coordinates,
-// ground included) every device stamps, in device order.
-func (c *Circuit) matrixEntries(yield func(r, col int)) {
-	for _, d := range c.devices {
-		switch d.kind {
-		case dResistor, dCapacitor, dSwitch:
-			yield(int(d.a), int(d.a))
-			yield(int(d.b), int(d.b))
-			yield(int(d.a), int(d.b))
-			yield(int(d.b), int(d.a))
-		case dVSource:
-			yield(d.branch, int(d.a))
-			yield(d.branch, int(d.b))
-			yield(int(d.a), d.branch)
-			yield(int(d.b), d.branch)
-		case dOpAmp:
-			yield(d.branch, int(d.a))
-			yield(d.branch, int(d.cp))
-			yield(d.branch, int(d.cm))
-			yield(int(d.a), d.branch)
-		case dFunc:
-			yield(d.branch, int(d.a))
-			yield(int(d.a), d.branch)
-			for _, n := range d.ctrl {
-				yield(d.branch, int(n))
-			}
+// rhsCol is the column entries reports for a right-hand-side row.
+const rhsCol = -1
+
+// entries enumerates the positions the device's stamp writes, in stampRef's
+// write order: matrix positions (r, col) and right-hand-side rows
+// (r, rhsCol), in MNA coordinates with ground included. It is the one
+// description of a kind's footprint: the stamped pattern and the plan's
+// slot lists are built from it, and stampInto writes through the slots in
+// its order.
+func (d *device) entries(yield func(r, col int)) {
+	a, b, br := int(d.a), int(d.b), d.branch
+	switch d.kind {
+	case dResistor, dSwitch:
+		yield(a, a)
+		yield(b, b)
+		yield(a, b)
+		yield(b, a)
+	case dCapacitor:
+		yield(a, a)
+		yield(b, b)
+		yield(a, b)
+		yield(b, a)
+		yield(a, rhsCol)
+		yield(b, rhsCol)
+	case dVSource:
+		yield(br, a)
+		yield(br, b)
+		yield(a, br)
+		yield(b, br)
+		yield(br, rhsCol)
+	case dOpAmp:
+		yield(br, a)
+		yield(br, int(d.cp))
+		yield(br, int(d.cm))
+		yield(br, rhsCol)
+		yield(a, br)
+	case dFunc:
+		yield(br, a)
+		for _, n := range d.ctrl {
+			yield(br, int(n))
 		}
+		yield(br, rhsCol)
+		yield(a, br)
 	}
 }
 
 // ensureSolver returns the circuit's stamp plan, rebuilding it if the
 // structure (dimension or device count) changed since the last analysis.
-func (c *Circuit) ensureSolver() (*solver, error) {
+func (c *Circuit) ensureSolver() *solver {
 	nb := c.assignBranches()
 	dim := c.nodes + nb
 	if s := c.sol; s != nil && s.dim == dim && s.ndev == len(c.devices) {
-		return s, nil
+		return s
 	}
 
 	s := &solver{dim: dim, ndev: len(c.devices)}
@@ -244,12 +260,14 @@ func (c *Circuit) ensureSolver() (*solver, error) {
 
 	// Stamped pattern over the reduced system (ground folded away).
 	s.pat = make([]uint64, dim*s.words)
-	c.matrixEntries(func(r, col int) {
-		if r == 0 || col == 0 {
-			return
-		}
-		s.pat[(r-1)*s.words+(col-1)/64] |= 1 << ((col - 1) % 64)
-	})
+	for _, d := range c.devices {
+		d.entries(func(r, col int) {
+			if r == 0 || col <= 0 {
+				return
+			}
+			s.pat[(r-1)*s.words+(col-1)/64] |= 1 << ((col - 1) % 64)
+		})
+	}
 	for _, wd := range s.pat {
 		s.stamped += bits.OnesCount64(wd)
 	}
@@ -275,7 +293,7 @@ func (c *Circuit) ensureSolver() (*solver, error) {
 	if dim > c.stats.PeakDim {
 		c.stats.PeakDim = dim
 	}
-	return s, nil
+	return s
 }
 
 // layout (re)derives the value storage and per-device slot lists from the
@@ -355,10 +373,16 @@ func (c *Circuit) layout(s *solver) {
 		}
 	}
 
-	// slotOf maps an MNA coordinate to its storage slot; ground writes go
-	// to the trash slot.
+	// slotOf maps an entry to its storage slot: a right-hand-side row to
+	// its rhsv index, a matrix position to its vals slot. Ground writes go
+	// to the write-off slots.
 	slotOf := func(r, col int) int {
-		if r == 0 || col == 0 {
+		switch {
+		case col == rhsCol && r == 0:
+			return dim
+		case col == rhsCol:
+			return r - 1
+		case r == 0 || col == 0:
 			return s.trash
 		}
 		k, ok := slices.BinarySearch(s.colIdx[s.rowPtr[r-1]:s.rowPtr[r]], col-1)
@@ -367,19 +391,8 @@ func (c *Circuit) layout(s *solver) {
 		}
 		return s.rowPtr[r-1] + k
 	}
-	rhsSlot := func(r int) int {
-		if r == 0 {
-			return dim
-		}
-		return r - 1
-	}
 
-	// Per-device slot lists. Layout per kind (mirrored by stampInto):
-	//   R, switch : aa bb ab ba
-	//   C         : aa bb ab ba rhs-a rhs-b
-	//   V         : br,a br,b a,br b,br rhs-br
-	//   OpAmp     : br,a br,cp br,cm rhs-br a,br
-	//   Func      : br,a a,br rhs-br br,ctrl...
+	// Per-device slot lists, in entries order.
 	s.slots = s.slots[:0]
 	if s.devOff == nil {
 		s.devOff = make([]int, len(c.devices))
@@ -387,28 +400,8 @@ func (c *Circuit) layout(s *solver) {
 	maxCtrl := 0
 	for di, d := range c.devices {
 		s.devOff[di] = len(s.slots)
-		a, b := int(d.a), int(d.b)
-		switch d.kind {
-		case dResistor, dSwitch:
-			s.slots = append(s.slots, slotOf(a, a), slotOf(b, b), slotOf(a, b), slotOf(b, a))
-		case dCapacitor:
-			s.slots = append(s.slots, slotOf(a, a), slotOf(b, b), slotOf(a, b), slotOf(b, a),
-				rhsSlot(a), rhsSlot(b))
-		case dVSource:
-			s.slots = append(s.slots, slotOf(d.branch, a), slotOf(d.branch, b),
-				slotOf(a, d.branch), slotOf(b, d.branch), rhsSlot(d.branch))
-		case dOpAmp:
-			s.slots = append(s.slots, slotOf(d.branch, a), slotOf(d.branch, int(d.cp)),
-				slotOf(d.branch, int(d.cm)), rhsSlot(d.branch), slotOf(a, d.branch))
-		case dFunc:
-			s.slots = append(s.slots, slotOf(d.branch, a), slotOf(a, d.branch), rhsSlot(d.branch))
-			for _, n := range d.ctrl {
-				s.slots = append(s.slots, slotOf(d.branch, int(n)))
-			}
-			if len(d.ctrl) > maxCtrl {
-				maxCtrl = len(d.ctrl)
-			}
-		}
+		d.entries(func(r, col int) { s.slots = append(s.slots, slotOf(r, col)) })
+		maxCtrl = max(maxCtrl, len(d.ctrl))
 	}
 	if s.fnVals == nil {
 		s.fnVals = make([]float64, maxCtrl)
@@ -420,10 +413,10 @@ func (c *Circuit) layout(s *solver) {
 }
 
 // stampInto builds the linearized MNA system around the iterate x at time t
-// by writing through the plan's precomputed slots. It performs the same
-// arithmetic in the same order as stampRef (the slot lists mirror the
-// reference write order, so aliased slots accumulate identically) and
-// allocates nothing.
+// by writing through the plan's precomputed slots, indexed in entries
+// order. It performs the same arithmetic in the same order as stampRef
+// (entries follows the reference write order, so aliased slots accumulate
+// identically) and allocates nothing.
 func (c *Circuit) stampInto(s *solver, x, prev Solution, t, h float64) {
 	v, rhs := s.vals, s.rhsv
 	for di, d := range c.devices {
@@ -477,10 +470,10 @@ func (c *Circuit) stampInto(s *solver, x, prev Solution, t, h float64) {
 			v[sl[0]] += 1
 			r := d.funcLinearize(x, s.fnVals[:nc], s.fnDps[:nc])
 			for i := 0; i < nc; i++ {
-				v[sl[3+i]] -= s.fnDps[i]
+				v[sl[1+i]] -= s.fnDps[i]
 			}
-			rhs[sl[2]] += r
-			v[sl[1]] += 1
+			rhs[sl[1+nc]] += r
+			v[sl[2+nc]] += 1
 		}
 	}
 }

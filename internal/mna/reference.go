@@ -9,9 +9,10 @@ import (
 // SolverReference: the oracle against which the plan-based exact tier is
 // proven bit-identical (see the corpus equivalence tests). Its Newton step
 // runs in the Newton loop every tier shares (newton.go). It is never used
-// outside tests unless explicitly selected via Circuit.Solver, with one
-// exception: the exact tier solves an iteration whose elimination leaves
-// its sparse pattern with this file's eliminate.
+// outside tests unless explicitly selected via Circuit.Solver, with two
+// exceptions: the exact tier solves an iteration whose elimination leaves
+// its sparse pattern with this file's eliminate, and every tier's AC sweep
+// assembles its small-signal system in a matrix (acAssemble).
 
 // matrix is a dense MNA system Ax = b with ground row/column folded away.
 type matrix struct {

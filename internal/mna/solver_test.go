@@ -44,10 +44,7 @@ func TestNewtonZeroAllocs(t *testing.T) {
 	t.Run("sparse", func(t *testing.T) {
 		c := activeChain(6)
 		c.Solver = SolverAuto
-		solve, dim, err := c.pointSolver(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		solve, dim := c.pointSolver(context.Background())
 		dst := make(Solution, dim+1)
 		zero := make(Solution, dim+1)
 		// Warm until the adaptive pattern and the replay cache have
@@ -198,31 +195,51 @@ func TestExactMatchesReferenceSmall(t *testing.T) {
 	}
 }
 
-// TestACParallelDeterministic pins the parallel sweep contract: every worker
-// count produces bitwise-identical complex responses. Run under -race this
-// also exercises the per-worker workspace isolation.
+// sharedScratchChain is activeChain(7) plus a behavioral source whose
+// closure writes scratch it shares across calls, as Elaborate's behavioral
+// closures do: two goroutines calling it at once race.
+func sharedScratchChain() *Circuit {
+	c := activeChain(7)
+	out := c.NodeByName("fo")
+	tv := make([]float64, 2)
+	c.AddFunc("f", out, []Node{c.NodeByName("o4"), c.NodeByName("o5")}, func(v []float64) float64 {
+		copy(tv, v)
+		return tv[0] + tv[0]*tv[1]
+	})
+	c.AddR("rl", out, Ground, 1e3)
+	return c
+}
+
+// TestACParallelDeterministic pins the parallel sweep contract on every
+// tier: every worker count produces bitwise-identical complex responses.
+// Run under -race it also checks the per-worker scratch isolation and that
+// no behavioral closure runs inside the fan-out.
 func TestACParallelDeterministic(t *testing.T) {
 	freqs := LogSweep(10, 1e7, 97)
-	sweep := func(workers int) *ACResult {
-		t.Helper()
-		res, err := activeChain(7).acSweep(context.Background(), "vin", freqs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return res
-	}
-	want := sweep(1)
-	for _, workers := range []int{2, 8} {
-		got := sweep(workers)
-		for n, col := range want.V {
-			gcol := got.V[n]
-			if len(gcol) != len(col) {
-				t.Fatalf("workers=%d node %d: %d points, want %d", workers, n, len(gcol), len(col))
+	for _, mode := range []SolverMode{SolverReference, SolverAuto, SolverFast} {
+		sweep := func(workers int) *ACResult {
+			t.Helper()
+			c := sharedScratchChain()
+			c.Solver = mode
+			res, err := c.acSweep(context.Background(), "vin", freqs, workers)
+			if err != nil {
+				t.Fatalf("%v, workers=%d: %v", mode, workers, err)
 			}
-			for i := range col {
-				if math.Float64bits(real(gcol[i])) != math.Float64bits(real(col[i])) ||
-					math.Float64bits(imag(gcol[i])) != math.Float64bits(imag(col[i])) {
-					t.Errorf("workers=%d node %d point %d: %v, want %v", workers, n, i, gcol[i], col[i])
+			return res
+		}
+		want := sweep(1)
+		for _, workers := range []int{2, 8} {
+			got := sweep(workers)
+			for n, col := range want.V {
+				gcol := got.V[n]
+				if len(gcol) != len(col) {
+					t.Fatalf("%v, workers=%d node %d: %d points, want %d", mode, workers, n, len(gcol), len(col))
+				}
+				for i := range col {
+					if math.Float64bits(real(gcol[i])) != math.Float64bits(real(col[i])) ||
+						math.Float64bits(imag(gcol[i])) != math.Float64bits(imag(col[i])) {
+						t.Errorf("%v, workers=%d node %d point %d: %v, want %v", mode, workers, n, i, gcol[i], col[i])
+					}
 				}
 			}
 		}
@@ -260,10 +277,7 @@ func BenchmarkMNASolve(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			c := activeChain(7)
 			c.Solver = tc.mode
-			solve, dim, err := c.pointSolver(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
+			solve, dim := c.pointSolver(context.Background())
 			dst := make(Solution, dim+1)
 			zero := make(Solution, dim+1)
 			for i := 0; i < 3; i++ {
@@ -282,8 +296,8 @@ func BenchmarkMNASolve(b *testing.B) {
 	}
 }
 
-// BenchmarkACSweepParallel measures the full AC sweep (operating point +
-// template + 256 complex solves) across worker counts.
+// BenchmarkACSweepParallel measures the full AC sweep (operating point,
+// small-signal assembly and 256 complex solves) across worker counts.
 func BenchmarkACSweepParallel(b *testing.B) {
 	freqs := LogSweep(10, 1e8, 256)
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -81,13 +81,13 @@ func lowerNetlist(nl *netlist.Netlist, inputs map[string]Source, opts Options) (
 		return nil, err
 	}
 	for _, c := range order {
-		p.lowerCell(c, opts.ModelBandwidth, slot)
+		p.lowerCell(c, slot)
 	}
 	return p, nil
 }
 
 // lowerCell appends the op of one cell, with its state or latch.
-func (p *program) lowerCell(c *netlist.Component, modelBandwidth bool, slot func(*netlist.Net) int) {
+func (p *program) lowerCell(c *netlist.Component, slot func(*netlist.Net) int) {
 	o := op{out: slot(c.Out), a: inputSlot(c.Inputs, 0, slot), b: inputSlot(c.Inputs, 1, slot), ctrl: slot(c.Ctrl), k: 1}
 	switch c.Cell.Kind {
 	case library.CellInvAmp, library.CellNonInvAmp:
@@ -143,19 +143,6 @@ func (p *program) lowerCell(c *netlist.Component, modelBandwidth bool, slot func
 		}
 		o.code = code
 	}
-	if modelBandwidth && c.Cell.Kind.IsAmplifier() && c.Estimate != nil && len(c.Estimate.OpAmps) > 0 {
-		// Finite gain-bandwidth: the ideal value goes to a private slot, and
-		// the output lags it with a closed-loop pole at UGF/noise-gain. A
-		// cell without a positive pole holds its output at 0.
-		lag := state{kind: stateLag, a: p.newSlot(), k: ampPole(c)}
-		if !(lag.k > 0) {
-			lag = state{kind: stateIntegrator}
-		}
-		out := o.out
-		o.out = lag.a
-		p.emit(o)
-		o = op{code: opState, out: out, idx: p.addState(lag, 1), k: 1}
-	}
 	p.emit(o)
 }
 
@@ -166,21 +153,4 @@ func gains(c *netlist.Component) []float64 {
 		w[i] = c.Param(fmt.Sprintf("gain%d", i), 1)
 	}
 	return w
-}
-
-// ampPole derives the closed-loop pole of a sized amplifier: omega =
-// 2*pi*UGF / noiseGain, with the inverting noise gain 1 + sum|w_i|.
-func ampPole(c *netlist.Component) float64 {
-	noise := 1.0
-	switch c.Cell.Kind {
-	case library.CellInvAmp, library.CellNonInvAmp:
-		noise += math.Abs(c.Param("gain", 1))
-	case library.CellPGA:
-		noise += math.Max(math.Abs(c.Param("gain_on", 1)), math.Abs(c.Param("gain_off", 1)))
-	default:
-		for _, g := range gains(c) {
-			noise += math.Abs(g)
-		}
-	}
-	return 2 * math.Pi * c.Estimate.OpAmps[0].AchievedUGF / noise
 }

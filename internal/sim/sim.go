@@ -4,8 +4,7 @@
 // Both levels lower their design once per run into one program: every
 // net is a slot of a value array, every block or cell one op with its
 // parameters resolved, and every dynamic element (integrator, inferred
-// low-pass or band-pass filter, and, under Options.ModelBandwidth, an
-// amplifier's closed-loop pole) one state of a fixed-step fourth-order
+// low-pass or band-pass filter) one state of a fixed-step fourth-order
 // Runge-Kutta integration. Comparator, Schmitt-trigger and sample-and-hold
 // states are updated at step boundaries with hysteresis, which keeps the
 // combinational network smooth inside a step. Event-driven behavior can
@@ -71,12 +70,6 @@ type Options struct {
 	// during the transient rather than over the stored trace, so a
 	// deadline-truncated run still observes every computed sample.
 	OnSample func(t float64, probe func(name string) (float64, bool))
-	// ModelBandwidth (netlist simulation only) gives every sized amplifier
-	// a first-order pole at its achieved unity-gain frequency divided by
-	// its noise gain, verifying that the estimator's bandwidth guard
-	// suffices for the signals the design actually sees. Requires a
-	// netlist whose components carry estimates (mapper output).
-	ModelBandwidth bool
 }
 
 // Trace holds sampled waveforms keyed by net name.

@@ -525,52 +525,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestModelBandwidth(t *testing.T) {
-	// A gain-5 amplifier sized for the audio system spec: within the
-	// specified band the finite-GBW simulation matches the ideal response,
-	// far above it the amplifier visibly rolls off — the estimator's
-	// bandwidth guard is what keeps the in-band error small.
-	m := compileSrc(t, `
-entity amp is
-  port (quantity a : in real; quantity y : out real);
-end entity;
-architecture arch of amp is
-begin
-  y == 5.0 * a;
-end architecture;`)
-	res, err := mapper.Synthesize(m, mapper.DefaultOptions())
-	if err != nil {
-		t.Fatalf("synthesize: %v", err)
-	}
-	peakAt := func(f float64, bw bool) float64 {
-		tr, err := SimulateNetlist(res.Netlist, map[string]Source{"a": Sine(0.1, f, 0)},
-			Options{TStop: 10 / f, TStep: math.Min(1e-7, 0.001/f), ModelBandwidth: bw})
-		if err != nil {
-			t.Fatalf("simulate at %g: %v", f, err)
-		}
-		out := tr.Get("y")
-		peak := 0.0
-		for _, v := range out[len(out)/2:] {
-			peak = math.Max(peak, math.Abs(v))
-		}
-		return peak
-	}
-	// In-band (10 kHz, inside the 20 kHz audio spec): within 1% of ideal.
-	inBand := peakAt(10e3, true)
-	if math.Abs(inBand-0.5) > 0.005 {
-		t.Errorf("in-band peak = %g, want ~0.5 (estimator margin suffices)", inBand)
-	}
-	// Far out of band (30x the specified bandwidth): visible roll-off.
-	outBand := peakAt(600e3, true)
-	ideal := peakAt(600e3, false)
-	if math.Abs(ideal-0.5) > 1e-9 {
-		t.Errorf("ideal simulation should not roll off: %g", ideal)
-	}
-	if outBand > 0.45 {
-		t.Errorf("600 kHz peak = %g, want visible finite-GBW roll-off", outBand)
-	}
-}
-
 // TestRK4StepZeroAllocs pins the lowered engine's step loop: after
 // warm-up, one RK4 step (the evaluation at t, the four derivative passes,
 // the end-of-step evaluation and the discrete updates) allocates nothing
